@@ -49,16 +49,7 @@ int main(int argc, char** argv) {
   flags.define("ingest-records", "",
                "stream interval volumes from this flow-record file (binary "
                "or CSV) instead of the synthetic scenario trace");
-  flags.define("checkpoint-dir", "",
-               "durable snapshot directory (empty = no checkpointing)");
-  flags.define("checkpoint-every", "8",
-               "periodic snapshot cadence in intervals (0 = shutdown "
-               "snapshot only)");
-  flags.define("status-port", "-1",
-               "serve /metrics, /metrics.json, /healthz, /spans on this "
-               "port while running (-1 = off, 0 = ephemeral)");
-  flags.define("status-host", "127.0.0.1",
-               "bind address of the status endpoint");
+  define_daemon_flags(flags);
   define_transport_flags(flags);
   define_scenario_flags(flags);
   define_threads_flag(flags);
@@ -81,12 +72,9 @@ int main(int argc, char** argv) {
     config.first_interval = flags.integer("first-interval");
     config.last_interval = flags.integer("last-interval");
     config.ingest_records = flags.str("ingest-records");
-    config.checkpoint_dir = flags.str("checkpoint-dir");
-    config.checkpoint_every = flags.integer("checkpoint-every");
     config.retry = retry_policy_from_flags(flags);
     config.io_timeout = io_timeout_from_flags(flags);
-    config.status_port = static_cast<int>(flags.integer("status-port"));
-    config.status_host = flags.str("status-host");
+    read_daemon_flags(flags, config);
     MonitorDaemon daemon(config);
     g_daemon = &daemon;
     (void)std::signal(SIGTERM, handle_signal);

@@ -43,17 +43,7 @@ int main(int argc, char** argv) {
                "deployment; >0 expects spca_regiond children)");
   flags.define("check-against-sim", "false",
                "verify the trajectory against a SimNetwork replay");
-  flags.define("checkpoint-dir", "",
-               "durable snapshot directory (empty = no checkpointing; with "
-               "a valid snapshot the daemon resumes mid-scenario)");
-  flags.define("checkpoint-every", "8",
-               "periodic snapshot cadence in intervals (0 = shutdown "
-               "snapshot only)");
-  flags.define("status-port", "-1",
-               "serve /metrics, /metrics.json, /healthz, /spans on this "
-               "port while running (-1 = off, 0 = ephemeral)");
-  flags.define("status-host", "127.0.0.1",
-               "bind address of the status endpoint");
+  define_daemon_flags(flags);
   define_transport_flags(flags);
   define_scenario_flags(flags);
   define_threads_flag(flags);
@@ -71,10 +61,7 @@ int main(int argc, char** argv) {
     config.interval_deadline =
         std::chrono::milliseconds(flags.integer("interval-deadline-ms"));
     config.io_timeout = io_timeout_from_flags(flags);
-    config.checkpoint_dir = flags.str("checkpoint-dir");
-    config.checkpoint_every = flags.integer("checkpoint-every");
-    config.status_port = static_cast<int>(flags.integer("status-port"));
-    config.status_host = flags.str("status-host");
+    read_daemon_flags(flags, config);
     NocDaemon daemon(config);
     g_daemon = &daemon;
     (void)std::signal(SIGTERM, handle_signal);
@@ -97,10 +84,7 @@ int main(int argc, char** argv) {
     if (flags.boolean("check-against-sim")) {
       const NetScenario scenario = build_scenario(config.scenario);
       const ScenarioRun reference = run_scenario_reference(scenario);
-      if (run.alarm_intervals != reference.alarm_intervals ||
-          run.distances != reference.distances ||
-          run.fused_alarm_intervals != reference.fused_alarm_intervals ||
-          run.fused_statistics != reference.fused_statistics) {
+      if (!trajectories_match(run, reference)) {
         std::cerr << "spca_nocd: TCP trajectory diverged from the "
                      "SimNetwork reference ("
                   << run.alarm_intervals.size() << " vs "

@@ -48,16 +48,7 @@ int main(int argc, char** argv) {
   flags.define("region", "0", "this daemon's region index (0-based)");
   flags.define("interval-deadline-ms", "60000",
                "max wait with no progress before giving up");
-  flags.define("checkpoint-dir", "",
-               "durable snapshot directory (empty = no checkpointing)");
-  flags.define("checkpoint-every", "8",
-               "periodic snapshot cadence in intervals (0 = shutdown "
-               "snapshot only)");
-  flags.define("status-port", "-1",
-               "serve /metrics, /metrics.json, /healthz, /spans on this "
-               "port while running (-1 = off, 0 = ephemeral)");
-  flags.define("status-host", "127.0.0.1",
-               "bind address of the status endpoint");
+  define_daemon_flags(flags);
   define_transport_flags(flags);
   define_scenario_flags(flags);
   define_threads_flag(flags);
@@ -77,12 +68,9 @@ int main(int argc, char** argv) {
     config.root_port = static_cast<std::uint16_t>(flags.integer("root-port"));
     config.interval_deadline =
         std::chrono::milliseconds(flags.integer("interval-deadline-ms"));
-    config.checkpoint_dir = flags.str("checkpoint-dir");
-    config.checkpoint_every = flags.integer("checkpoint-every");
     config.retry = retry_policy_from_flags(flags);
     config.io_timeout = io_timeout_from_flags(flags);
-    config.status_port = static_cast<int>(flags.integer("status-port"));
-    config.status_host = flags.str("status-host");
+    read_daemon_flags(flags, config);
     RegionalDaemon daemon(config);
     g_daemon = &daemon;
     (void)std::signal(SIGTERM, handle_signal);

@@ -93,15 +93,10 @@ int main(int argc, char** argv) {
       RecordFileReader probe(records);
       header = probe.header();
     }
-    const SketchDetectorConfig& det = scenario.detector;
-    const ProjectionSource source =
-        det.projection == ProjectionKind::kVerySparse
-            ? ProjectionSource::very_sparse(det.seed, det.window)
-            : ProjectionSource(det.projection, det.seed, det.sparsity);
-    std::vector<FlowId> flows(header.num_flows);
-    for (std::uint32_t j = 0; j < header.num_flows; ++j) flows[j] = j;
-    LocalMonitor monitor(1, flows, det.window, det.epsilon, det.sketch_rows,
-                         source);
+    // One monitor owning every flow.
+    LocalMonitor monitor =
+        make_monitor(1, header.num_flows, /*num_monitors=*/1,
+                     scenario.detector);
 
     ReplayConfig config;
     config.record_path = records;

@@ -22,9 +22,8 @@ SketchDetector::SketchDetector(std::size_t dimensions,
   SPCA_EXPECTS(config.sketch_rows >= 1);
   SPCA_EXPECTS(config.alpha > 0.0 && config.alpha < 1.0);
   const ProjectionSource source =
-      config.projection == ProjectionKind::kVerySparse
-          ? ProjectionSource::very_sparse(config.seed, config.window)
-          : ProjectionSource(config.projection, config.seed, config.sparsity);
+      projection_source_for(config.projection, config.seed, config.sparsity,
+                              config.window);
   flows_.reserve(dimensions);
   for (std::size_t j = 0; j < dimensions; ++j) {
     // All flows share one coefficient source (same seed => same r_tk),

@@ -157,9 +157,8 @@ SketchDetector SketchDetector::restore_state(
   detector.backend_->restore_state(in);
 
   const ProjectionSource source =
-      config.projection == ProjectionKind::kVerySparse
-          ? ProjectionSource::very_sparse(config.seed, config.window)
-          : ProjectionSource(config.projection, config.seed, config.sparsity);
+      projection_source_for(config.projection, config.seed, config.sparsity,
+                              config.window);
   detector.flows_.clear();
   detector.flows_.reserve(m);
   for (std::size_t j = 0; j < m; ++j) {

@@ -104,7 +104,7 @@ bool aggregate_shape_is(const Message& msg, MessageType inner,
   return msg.values.size() == msg.ids.size() * per_flow;
 }
 
-Message unwrap_aggregate(const Message& agg, MessageType inner,
+Message unwrap_aggregate(Message agg, MessageType inner,
                          std::size_t sketch_rows) {
   if (agg.type != MessageType::kAggregate) {
     throw ProtocolError("unwrap_aggregate: not an aggregate");
@@ -117,9 +117,8 @@ Message unwrap_aggregate(const Message& agg, MessageType inner,
   if (!aggregate_shape_is(agg, inner, sketch_rows)) {
     throw ProtocolError("unwrap_aggregate: payload shape mismatch");
   }
-  Message msg = agg;
-  msg.type = inner;
-  return msg;
+  agg.type = inner;
+  return agg;
 }
 
 }  // namespace spca

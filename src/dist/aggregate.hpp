@@ -75,9 +75,10 @@ inline constexpr NodeId kRegionBase = 0x10000;
 
 /// Validates `agg` against the expected inner type and returns the payload
 /// re-typed as `inner` (from/to/interval preserved), so the root NOC feeds
-/// it through the exact code path a flat deployment uses. Throws
-/// ProtocolError on a type or shape mismatch.
-[[nodiscard]] Message unwrap_aggregate(const Message& agg, MessageType inner,
+/// it through the exact code path a flat deployment uses. Takes `agg` by
+/// value: a moved-in aggregate is re-typed without copying its payload.
+/// Throws ProtocolError on a type or shape mismatch.
+[[nodiscard]] Message unwrap_aggregate(Message agg, MessageType inner,
                                        std::size_t sketch_rows);
 
 }  // namespace spca

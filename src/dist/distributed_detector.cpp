@@ -10,87 +10,52 @@ DistributedDetector::DistributedDetector(std::size_t dimensions,
                                          const SketchDetectorConfig& config,
                                          bool noc_hosted_sketches,
                                          Transport* transport)
-    : m_(dimensions),
-      config_(config),
-      noc_hosted_(noc_hosted_sketches),
-      transport_(transport != nullptr ? transport : &network_),
-      noc_(dimensions, noc_config_from(config, noc_hosted_sketches)) {
+    : transport_(transport != nullptr ? transport : &network_),
+      step_(Noc(dimensions, noc_config_from(config, noc_hosted_sketches)),
+            scenario_monitor_ids(num_monitors), /*aggregated=*/false) {
   SPCA_EXPECTS(dimensions >= 2);
   SPCA_EXPECTS(num_monitors >= 1 && num_monitors <= dimensions);
-
-  const ProjectionSource source =
-      config.projection == ProjectionKind::kVerySparse
-          ? ProjectionSource::very_sparse(config.seed, config.window)
-          : ProjectionSource(config.projection, config.seed, config.sparsity);
-
-  // Round-robin ownership: flow j belongs to monitor (j % k). With OD flows
-  // laid out origin-major this spreads each origin's flows evenly, like
-  // monitors placed at ingress routers.
-  std::vector<std::vector<FlowId>> ownership(num_monitors);
-  for (std::size_t j = 0; j < dimensions; ++j) {
-    ownership[j % num_monitors].push_back(static_cast<FlowId>(j));
-  }
-  for (std::size_t k = 0; k < num_monitors; ++k) {
-    const NodeId id = static_cast<NodeId>(k + 1);  // 0 is the NOC
-    monitors_.push_back(std::make_unique<LocalMonitor>(
-        id, ownership[k], config.window, config.epsilon, config.sketch_rows,
-        source, /*counter_only=*/noc_hosted_sketches));
-    monitor_ids_.push_back(id);
-  }
+  monitors_ = make_monitors(dimensions, num_monitors, config,
+                            /*counter_only=*/noc_hosted_sketches);
 }
 
 void DistributedDetector::enable_fusion(const FusionConfig& fusion,
                                         const FirstLineConfig& first_line) {
-  SPCA_EXPECTS(!fusion_ && observed_ == 0);
-  fusion_.emplace(fusion);
-  for (const auto& monitor : monitors_) {
-    monitor->enable_first_line(first_line);
-  }
+  SPCA_EXPECTS(!step_.fusion_enabled() && step_.observed() == 0);
+  step_.enable_fusion(fusion);
+  for (LocalMonitor& monitor : monitors_) monitor.enable_first_line(first_line);
 }
 
 Detection DistributedDetector::observe(std::int64_t t, const Vector& x) {
-  SPCA_EXPECTS(x.size() == m_);
+  SPCA_EXPECTS(x.size() == step_.noc().num_flows());
   // Monitors observe their flows' traffic and close the interval.
-  for (const auto& monitor : monitors_) {
+  for (LocalMonitor& monitor : monitors_) {
     {
-      const ScopedSpan span("monitor" + std::to_string(monitor->id()),
+      const ScopedSpan span("monitor" + std::to_string(monitor.id()),
                             kStageIngestAbsorb, t);
-      for (const FlowId flow : monitor->flows()) {
-        monitor->ingest_volume(flow, x[flow]);
+      for (const FlowId flow : monitor.flows()) {
+        monitor.ingest_volume(flow, x[flow]);
       }
     }
-    monitor->end_interval(t, *transport_);
+    monitor.end_interval(t, *transport_);
   }
-  // Score reports must come out before collect_volumes: the NOC's drain
-  // would otherwise swallow them as unexpected volume traffic.
-  std::vector<MonitorScore> scores;
-  if (fusion_) {
-    for (const Message& msg :
-         transport_->take(kNocId, MessageType::kScoreReport)) {
-      for (const MonitorScore& s : parse_score_report(msg)) {
-        scores.push_back(s);
-      }
-    }
-  }
-  // The NOC assembles the network-wide measurement vector.
-  const Vector assembled = noc_.collect_volumes(t, *transport_);
-  ++observed_;
-  if (observed_ < config_.window) {
-    if (fusion_) last_fused_ = fusion_->fuse(t, Detection{}, scores);
-    return Detection{};  // warm-up, matching SketchDetector
-  }
-  const auto pump = [this] {
-    for (const auto& monitor : monitors_) monitor->handle_mail(*transport_);
+  // The sim's await policy: when the NOC waits for anything, one
+  // synchronous pass of the monitors' event loops must complete it.
+  const AwaitPolicy await = [this](const std::function<bool()>& ready,
+                                   const char* /*what*/) {
+    if (ready()) return true;
+    for (LocalMonitor& monitor : monitors_) monitor.handle_mail(*transport_);
+    SPCA_ENSURES(ready());
+    return true;
   };
-  const Detection det =
-      noc_.detect(t, assembled, monitor_ids_, *transport_, pump);
-  if (fusion_) last_fused_ = fusion_->fuse(t, det, scores);
-  return det;
+  IntervalVerdict verdict = *step_.run(t, *transport_, await);
+  last_fused_ = std::move(verdict.fused);
+  return verdict.detection;
 }
 
 std::size_t DistributedDetector::monitor_memory_bytes() const noexcept {
   std::size_t bytes = 0;
-  for (const auto& monitor : monitors_) bytes += monitor->memory_bytes();
+  for (const LocalMonitor& monitor : monitors_) bytes += monitor.memory_bytes();
   return bytes;
 }
 

@@ -2,19 +2,19 @@
 // NOC over a SimNetwork — behind the ordinary Detector interface, so the
 // evaluation harness can compare it directly against the single-process
 // SketchDetector (they must agree verdict-for-verdict given equal
-// parameters; an integration test enforces this).
+// parameters; an integration test enforces this). The NOC side is the one
+// interval step every deployment runs (dist/noc_step.hpp); the facade only
+// closes the monitors' intervals and pumps their mailboxes when it waits.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/detector.hpp"
 #include "core/sketch_detector.hpp"
 #include "detect/fusion.hpp"
 #include "dist/local_monitor.hpp"
-#include "dist/noc.hpp"
+#include "dist/noc_step.hpp"
 #include "dist/sim_network.hpp"
 
 namespace spca {
@@ -29,16 +29,17 @@ class DistributedDetector final : public Detector {
   /// monitors run only the Volume Counter, the NOC maintains every flow's
   /// histogram itself, and no sketch-pull messages are ever sent.
   ///
-  /// `transport` overrides the message carrier (e.g. a loopback TcpBus);
-  /// nullptr uses the built-in SimNetwork. The caller keeps ownership and
-  /// must outlive the detector.
+  /// `transport` overrides the message carrier (e.g. a FaultyTransport
+  /// decorating a SimNetwork); nullptr uses the built-in SimNetwork. It must
+  /// deliver synchronously, and the caller keeps ownership and must outlive
+  /// the detector.
   DistributedDetector(std::size_t dimensions, std::size_t num_monitors,
                       const SketchDetectorConfig& config,
                       bool noc_hosted_sketches = false,
                       Transport* transport = nullptr);
 
   [[nodiscard]] bool noc_hosted_sketches() const noexcept {
-    return noc_hosted_;
+    return step_.noc().config().host_sketches;
   }
 
   /// Feeds the network-wide measurement vector: each monitor ingests the
@@ -53,9 +54,8 @@ class DistributedDetector final : public Detector {
   [[nodiscard]] const NetworkStats& network_stats() const noexcept {
     return transport_->stats();
   }
-  void reset_network_stats() noexcept { transport_->reset_stats(); }
 
-  [[nodiscard]] const Noc& noc() const noexcept { return noc_; }
+  [[nodiscard]] const Noc& noc() const noexcept { return step_.noc(); }
   [[nodiscard]] std::size_t num_monitors() const noexcept {
     return monitors_.size();
   }
@@ -71,7 +71,7 @@ class DistributedDetector final : public Detector {
   void enable_fusion(const FusionConfig& fusion,
                      const FirstLineConfig& first_line = {});
   [[nodiscard]] bool fusion_enabled() const noexcept {
-    return fusion_.has_value();
+    return step_.fusion_enabled();
   }
   /// The fused verdict of the last observed interval (abstaining during
   /// warm-up); default-constructed before the first observe.
@@ -80,17 +80,11 @@ class DistributedDetector final : public Detector {
   }
 
  private:
-  std::size_t m_;
-  SketchDetectorConfig config_;
-  bool noc_hosted_ = false;
   SimNetwork network_;          // default carrier
   Transport* transport_ = nullptr;  // the active carrier (may be external)
-  std::vector<std::unique_ptr<LocalMonitor>> monitors_;
-  std::vector<NodeId> monitor_ids_;
-  Noc noc_;
-  std::optional<FusionEngine> fusion_;
+  std::vector<LocalMonitor> monitors_;
+  NocStep step_;
   FusedDecision last_fused_;
-  std::uint64_t observed_ = 0;
 };
 
 }  // namespace spca

@@ -205,4 +205,49 @@ std::size_t LocalMonitor::memory_bytes() const noexcept {
   return bytes;
 }
 
+std::vector<FlowId> scenario_flows_of(std::size_t num_flows,
+                                      std::size_t num_monitors,
+                                      NodeId monitor) {
+  SPCA_EXPECTS(monitor >= 1 && monitor <= num_monitors);
+  std::vector<FlowId> flows;
+  for (std::size_t j = monitor - 1; j < num_flows; j += num_monitors) {
+    flows.push_back(static_cast<FlowId>(j));
+  }
+  return flows;
+}
+
+std::vector<NodeId> scenario_monitor_ids(std::size_t num_monitors) {
+  std::vector<NodeId> ids;
+  ids.reserve(num_monitors);
+  for (std::size_t k = 0; k < num_monitors; ++k) {
+    ids.push_back(static_cast<NodeId>(k + 1));
+  }
+  return ids;
+}
+
+LocalMonitor make_monitor(NodeId id, std::size_t num_flows,
+                          std::size_t num_monitors,
+                          const SketchDetectorConfig& config,
+                          bool counter_only) {
+  return LocalMonitor(
+      id, scenario_flows_of(num_flows, num_monitors, id), config.window,
+      config.epsilon, config.sketch_rows,
+      projection_source_for(config.projection, config.seed, config.sparsity,
+                            config.window),
+      counter_only);
+}
+
+std::vector<LocalMonitor> make_monitors(std::size_t num_flows,
+                                        std::size_t num_monitors,
+                                        const SketchDetectorConfig& config,
+                                        bool counter_only) {
+  std::vector<LocalMonitor> monitors;
+  monitors.reserve(num_monitors);
+  for (const NodeId id : scenario_monitor_ids(num_monitors)) {
+    monitors.push_back(
+        make_monitor(id, num_flows, num_monitors, config, counter_only));
+  }
+  return monitors;
+}
+
 }  // namespace spca

@@ -9,6 +9,7 @@
 #include <span>
 #include <vector>
 
+#include "core/sketch_detector.hpp"
 #include "detect/first_line.hpp"
 #include "dist/message.hpp"
 #include "linalg/vector.hpp"
@@ -141,5 +142,31 @@ class LocalMonitor final {
                          // restarted monitor reports again naturally)
   Message last_score_report_;  // ditto, for the first-line score
 };
+
+/// The flows owned by the monitor with NodeId `monitor` (1-based) in a
+/// deployment of `num_monitors` monitors: round-robin, flow j belongs to
+/// monitor 1 + j % k. With OD flows laid out origin-major this spreads each
+/// origin's flows evenly, like monitors placed at ingress routers.
+[[nodiscard]] std::vector<FlowId> scenario_flows_of(std::size_t num_flows,
+                                                    std::size_t num_monitors,
+                                                    NodeId monitor);
+
+/// The monitor NodeIds of a deployment: 1..k (the NOC is kNocId = 0).
+[[nodiscard]] std::vector<NodeId> scenario_monitor_ids(
+    std::size_t num_monitors);
+
+/// Builds monitor `id` of a `num_monitors`-monitor deployment of `config`
+/// over `num_flows` flows: round-robin ownership and the deployment's one
+/// projection source, so every process that builds monitor `id` builds the
+/// same monitor.
+[[nodiscard]] LocalMonitor make_monitor(NodeId id, std::size_t num_flows,
+                                        std::size_t num_monitors,
+                                        const SketchDetectorConfig& config,
+                                        bool counter_only = false);
+
+/// Every monitor of that deployment, ids 1..num_monitors in order.
+[[nodiscard]] std::vector<LocalMonitor> make_monitors(
+    std::size_t num_flows, std::size_t num_monitors,
+    const SketchDetectorConfig& config, bool counter_only = false);
 
 }  // namespace spca

@@ -18,6 +18,15 @@ std::size_t Message::wire_bytes() const noexcept {
          values.size() * sizeof(double);
 }
 
+Message sketch_request(NodeId from, NodeId to, std::int64_t t) {
+  Message request;
+  request.type = MessageType::kSketchRequest;
+  request.from = from;
+  request.to = to;
+  request.interval = t;
+  return request;
+}
+
 std::vector<std::byte> serialize(const Message& msg) {
   ByteWriter out;
   out.put(static_cast<std::uint8_t>(msg.type));

@@ -52,6 +52,10 @@ struct Message {
   [[nodiscard]] std::size_t wire_bytes() const noexcept;
 };
 
+/// A sketch request (lazy pull, Sec. IV-C) from `from` to `to` for interval
+/// `t`; it carries no payload.
+[[nodiscard]] Message sketch_request(NodeId from, NodeId to, std::int64_t t);
+
 /// Encodes to a flat little-endian byte buffer.
 [[nodiscard]] std::vector<std::byte> serialize(const Message& msg);
 

@@ -42,10 +42,8 @@ Noc::Noc(std::size_t num_flows, const NocConfig& config)
   SPCA_EXPECTS(config.alpha > 0.0 && config.alpha < 1.0);
   if (config.host_sketches) {
     const ProjectionSource source =
-        config.projection == ProjectionKind::kVerySparse
-            ? ProjectionSource::very_sparse(config.seed, config.window)
-            : ProjectionSource(config.projection, config.seed,
-                               config.sparsity);
+        projection_source_for(config.projection, config.seed, config.sparsity,
+                              config.window);
     hosted_sketches_.reserve(num_flows);
     for (std::size_t j = 0; j < num_flows; ++j) {
       hosted_sketches_.emplace_back(config.window, config.epsilon,
@@ -103,12 +101,7 @@ void Noc::request_sketches(std::int64_t t,
                            const std::vector<NodeId>& monitors,
                            Transport& network) {
   for (const NodeId monitor : monitors) {
-    Message request;
-    request.type = MessageType::kSketchRequest;
-    request.from = kNocId;
-    request.to = monitor;
-    request.interval = t;
-    network.send(request);
+    network.send(sketch_request(kNocId, monitor, t));
   }
   ++sketch_pulls_;
 }
@@ -131,13 +124,6 @@ void Noc::ingest_sketch_response(const Message& msg) {
     state.sketch.assign(base + 2, base + block);
     state.seen = true;
   }
-}
-
-void Noc::ingest_sketch_responses(Transport& network) {
-  for (const Message& msg : network.drain(kNocId)) {
-    ingest_sketch_response(msg);
-  }
-  refit();
 }
 
 void Noc::refit() {
@@ -276,21 +262,6 @@ Detection Noc::detect_with_pull(std::int64_t t, const Vector& x,
                                threshold_squared_, rank_, det.model_refreshed,
                                alarm});
   return det;
-}
-
-Detection Noc::detect(std::int64_t t, const Vector& x,
-                      const std::vector<NodeId>& monitors, Transport& network,
-                      const std::function<void()>& pump_monitors) {
-  const auto pull = [&] {
-    if (config_.host_sketches) {
-      pull_hosted();
-      return;
-    }
-    request_sketches(t, monitors, network);
-    pump_monitors();
-    ingest_sketch_responses(network);
-  };
-  return detect_with_pull(t, x, pull, network);
 }
 
 }  // namespace spca

@@ -1,4 +1,4 @@
-// Simulated Network Operation Center (Fig. 2, right half): assembles the
+// Network Operation Center (Fig. 2, right half): assembles the
 // network-wide measurement vector from monitor volume reports, maintains
 // the sketch-PCA model, and runs the lazy detection protocol of Sec. IV-C:
 //
@@ -6,11 +6,12 @@
 //   d(y*) >  delta  -> pull fresh sketches, refit, re-check; alarm only if
 //                      the fresh model still flags the vector.
 //
-// The class is transport-generic: the synchronous simulation drives it via
-// `detect` (which pumps the in-process monitors inline), while the TCP NOC
-// daemon drives the same state machine via the `assemble_volumes` /
-// `ingest_sketch_response` / `refit` / `detect_with_pull` building blocks,
-// supplying its own pull round-trip over the wire.
+// The class holds the model state and the protocol's building blocks
+// (`assemble_volumes`, `request_sketches`, `ingest_sketch_response`,
+// `refit`, `detect_with_pull`). It never waits for messages itself: the one
+// interval step that sequences those blocks, gathers the children's
+// messages and fuses the verdict is NocStep (dist/noc_step.hpp), which the
+// simulation and the NOC daemon drive with their own await policy.
 #pragma once
 
 #include <cstdint>
@@ -78,16 +79,12 @@ class Noc final {
   /// Drains queued volume reports for interval `t` and assembles them.
   [[nodiscard]] Vector collect_volumes(std::int64_t t, Transport& network);
 
-  /// Requests sketches from all monitors (they must answer before
-  /// `ingest_sketch_responses` is called).
+  /// Requests sketches from all monitors and counts one sketch pull.
   void request_sketches(std::int64_t t, const std::vector<NodeId>& monitors,
                         Transport& network);
 
   /// Stores one sketch response into the per-flow state (no refit).
   void ingest_sketch_response(const Message& msg);
-
-  /// Ingests queued sketch responses and refits the PCA model.
-  void ingest_sketch_responses(Transport& network);
 
   /// Recomputes the PCA model, rank, and threshold from the stored per-flow
   /// sketch state. Every flow must have reported at least once.
@@ -105,14 +102,6 @@ class Noc final {
   [[nodiscard]] Detection detect_with_pull(std::int64_t t, const Vector& x,
                                            const std::function<void()>& pull,
                                            Transport& network);
-
-  /// Synchronous-simulation front end of `detect_with_pull`: the pull
-  /// round-trip requests sketches, runs `pump_monitors` (the stand-in for
-  /// the monitors' event loops), and ingests the responses.
-  [[nodiscard]] Detection detect(std::int64_t t, const Vector& x,
-                                 const std::vector<NodeId>& monitors,
-                                 Transport& network,
-                                 const std::function<void()>& pump_monitors);
 
   [[nodiscard]] const std::optional<PcaModel>& model() const noexcept {
     return model_;

@@ -161,10 +161,8 @@ Noc Noc::restore_state(const std::vector<std::byte>& blob,
   }
   if (hosted_count > 0) {
     const ProjectionSource source =
-        config.projection == ProjectionKind::kVerySparse
-            ? ProjectionSource::very_sparse(config.seed, config.window)
-            : ProjectionSource(config.projection, config.seed,
-                               config.sparsity);
+        projection_source_for(config.projection, config.seed, config.sparsity,
+                              config.window);
     noc.hosted_sketches_.clear();
     for (std::uint64_t j = 0; j < hosted_count; ++j) {
       const auto now = in.get<std::int64_t>();

@@ -1,7 +1,6 @@
 #include "fault/chaos.hpp"
 
 #include <atomic>
-#include <cstring>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -81,11 +80,6 @@ void validate(const ChaosConfig& config) {
         throw InputError("chaos: NOC kills must be clean "
                          "(crash kills only apply to monitors)");
       }
-      if (e.interval >= intervals) {
-        throw InputError("chaos: NOC kill at interval " +
-                         std::to_string(e.interval) + ", scenario ends at " +
-                         std::to_string(intervals));
-      }
     } else if (is_region_node(e.node)) {
       if (!hier || region_index(e.node) >= config.regions) {
         throw InputError("chaos: kill targets region " +
@@ -93,16 +87,13 @@ void validate(const ChaosConfig& config) {
                          ", deployment has " +
                          std::to_string(config.regions) + " regions");
       }
-      if (e.interval >= intervals) {
-        throw InputError("chaos: region kill at interval " +
-                         std::to_string(e.interval) + ", scenario ends at " +
-                         std::to_string(intervals));
-      }
     } else {
       check_node(e, "kill");
     }
-    if (e.interval < 1) {
-      throw InputError("chaos: kill intervals must be >= 1");
+    if (e.interval < 1 || e.interval >= intervals) {
+      throw InputError("chaos: kill at interval " +
+                       std::to_string(e.interval) + ", must be in [1, " +
+                       std::to_string(intervals) + ")");
     }
   }
   for (const FaultEvent& e : config.faults.resets) check_node(e, "reset");
@@ -119,19 +110,6 @@ void validate(const ChaosConfig& config) {
 }
 
 }  // namespace
-
-bool trajectories_match(const ScenarioRun& a, const ScenarioRun& b) {
-  if (a.alarm_intervals != b.alarm_intervals) return false;
-  if (a.fused_alarm_intervals != b.fused_alarm_intervals) return false;
-  const auto doubles_match = [](const std::vector<double>& x,
-                                const std::vector<double>& y) {
-    if (x.size() != y.size()) return false;
-    return x.empty() || std::memcmp(x.data(), y.data(),
-                                    x.size() * sizeof(double)) == 0;
-  };
-  return doubles_match(a.distances, b.distances) &&
-         doubles_match(a.fused_statistics, b.fused_statistics);
-}
 
 ChaosResult run_chaos(const ChaosConfig& config) {
   validate(config);
@@ -207,7 +185,7 @@ ChaosResult run_chaos(const ChaosConfig& config) {
     std::vector<std::uint16_t> region_ports(config.regions, port);
     std::vector<std::exception_ptr> region_errors(config.regions);
     std::vector<std::thread> region_threads;
-    for (std::size_t r = 0; r < config.regions; ++r) {
+    const auto region_config = [&](std::size_t r) {
       RegionalDaemonConfig rc;
       rc.scenario = config.scenario;
       rc.regions = config.regions;
@@ -219,6 +197,10 @@ ChaosResult run_chaos(const ChaosConfig& config) {
       rc.wrap_transport = [&](Transport& inner) {
         return std::make_unique<FaultyTransport>(inner, config.faults, &acc);
       };
+      return rc;
+    };
+    for (std::size_t r = 0; r < config.regions; ++r) {
+      RegionalDaemonConfig rc = region_config(r);
       const std::optional<std::int64_t> kill =
           kill_of(config.faults, region_node_id(r));
       if (kill) {
@@ -250,19 +232,8 @@ ChaosResult run_chaos(const ChaosConfig& config) {
                 "kill", *kill,
                 "region " + std::to_string(r) +
                     (config.crash_kills ? " (crash)" : " (clean)"));
-            RegionalDaemonConfig rc;
-            rc.scenario = config.scenario;
-            rc.regions = config.regions;
-            rc.region = r;
+            RegionalDaemonConfig rc = region_config(r);
             rc.listen_port = region_port;
-            rc.root_port = port;
-            rc.retry = config.retry;
-            rc.io_timeout = config.io_timeout;
-            rc.interval_deadline = config.interval_deadline;
-            rc.wrap_transport = [&](Transport& inner) {
-              return std::make_unique<FaultyTransport>(inner, config.faults,
-                                                       &acc);
-            };
             rc.checkpoint_dir = config.checkpoint_dir;
             rc.checkpoint_every = config.checkpoint_every;
             RegionalDaemon second(rc);
@@ -385,20 +356,7 @@ ChaosResult run_chaos(const ChaosConfig& config) {
         }
         // Stitch the incarnations into one trajectory: the first covers
         // the post-warm-up intervals < kill, the second the remainder.
-        result.run.alarm_intervals.insert(result.run.alarm_intervals.end(),
-                                          rest.alarm_intervals.begin(),
-                                          rest.alarm_intervals.end());
-        result.run.distances.insert(result.run.distances.end(),
-                                    rest.distances.begin(),
-                                    rest.distances.end());
-        result.run.fused_alarm_intervals.insert(
-            result.run.fused_alarm_intervals.end(),
-            rest.fused_alarm_intervals.begin(),
-            rest.fused_alarm_intervals.end());
-        result.run.fused_statistics.insert(result.run.fused_statistics.end(),
-                                           rest.fused_statistics.begin(),
-                                           rest.fused_statistics.end());
-        result.run.stats += rest.stats;
+        result.run.append(rest);
       }
     } catch (...) {
       noc_error = std::current_exception();

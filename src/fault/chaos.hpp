@@ -87,11 +87,6 @@ struct ChaosResult {
   bool restored_from_checkpoint = true;
 };
 
-/// Bit-exact trajectory comparison (distances and alarm intervals; wire
-/// stats are excluded — retransmits legitimately change byte counts).
-[[nodiscard]] bool trajectories_match(const ScenarioRun& a,
-                                      const ScenarioRun& b);
-
 /// Runs the experiment. Throws InputError on an infeasible config (kill or
 /// reset events aimed at unknown monitors or out-of-range intervals, kills
 /// without a checkpoint_dir, node events in sim mode) and TransportError if

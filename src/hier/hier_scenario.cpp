@@ -1,13 +1,8 @@
 #include "hier/hier_scenario.hpp"
 
-#include <memory>
-#include <optional>
-
 #include "common/contracts.hpp"
-#include "detect/fusion.hpp"
-#include "detect/score_codec.hpp"
 #include "dist/local_monitor.hpp"
-#include "dist/noc.hpp"
+#include "dist/noc_step.hpp"
 #include "dist/sim_network.hpp"
 #include "hier/regional_noc.hpp"
 
@@ -37,134 +32,58 @@ HierWireAccounting hier_wire_accounting(const NetworkStats& stats) {
 }
 
 ScenarioRun run_hier_scenario_sim(const NetScenario& scenario,
-                                  std::size_t regions,
-                                  Transport* transport) {
+                                  std::size_t regions) {
   const std::size_t m = scenario.trace.num_flows();
   const std::size_t k = scenario.config.monitors;
   const SketchDetectorConfig& config = scenario.detector;
   SPCA_EXPECTS(regions >= 1 && regions <= k);
 
-  SimNetwork sim;
-  Transport& bus = transport != nullptr ? *transport : sim;
+  SimNetwork bus;
 
-  // Monitors: exactly DistributedDetector's construction (same ownership,
-  // same projection source), re-pointed at their regional NOC.
-  const ProjectionSource source =
-      config.projection == ProjectionKind::kVerySparse
-          ? ProjectionSource::very_sparse(config.seed, config.window)
-          : ProjectionSource(config.projection, config.seed, config.sparsity);
-  std::vector<std::vector<FlowId>> ownership(k);
-  for (std::size_t j = 0; j < m; ++j) {
-    ownership[j % k].push_back(static_cast<FlowId>(j));
+  // Monitors: exactly the flat deployment's, re-pointed at their regional
+  // NOC; the middle tier between them and the root.
+  std::vector<LocalMonitor> monitors = make_monitors(m, k, config);
+  for (LocalMonitor& monitor : monitors) {
+    monitor.set_upstream(
+        region_node_id(region_of_monitor(k, regions, monitor.id())));
   }
-  std::vector<std::unique_ptr<LocalMonitor>> monitors;
-  for (std::size_t i = 0; i < k; ++i) {
-    const NodeId id = static_cast<NodeId>(i + 1);
-    monitors.push_back(std::make_unique<LocalMonitor>(
-        id, ownership[i], config.window, config.epsilon, config.sketch_rows,
-        source, /*counter_only=*/false));
-    monitors.back()->set_upstream(
-        region_node_id(region_of_monitor(k, regions, id)));
-  }
-
-  // Ensemble fusion mirrors the flat reference: monitors score first-line
-  // signals at interval close, the root fuses them with the sketch verdict.
-  std::optional<FusionEngine> fusion;
-  if (scenario.config.fusion != "off") {
-    FusionConfig fusion_config;
-    fusion_config.rule = parse_fusion_rule(scenario.config.fusion);
-    fusion.emplace(fusion_config);
-    for (const auto& monitor : monitors) monitor->enable_first_line();
-  }
-
-  // The middle tier.
   std::vector<RegionalNoc> tier;
   tier.reserve(regions);
   for (std::size_t r = 0; r < regions; ++r) {
     tier.emplace_back(r, region_monitor_ids(k, regions, r),
                       config.sketch_rows);
   }
-  const std::vector<NodeId> region_ids = region_node_ids(regions);
+  NocStep root(Noc(m, noc_config_from(config, /*host_sketches=*/false)),
+               region_node_ids(regions), /*aggregated=*/true);
+  if (const auto fusion = scenario_fusion(scenario.config)) {
+    root.enable_fusion(*fusion);
+    for (LocalMonitor& monitor : monitors) monitor.enable_first_line();
+  }
 
-  Noc noc(m, noc_config_from(config, /*host_sketches=*/false));
-  const std::size_t rows = config.sketch_rows;
+  // The sim's await policy: a relay pass of the tier, the monitors' event
+  // loops and a second relay pass carry any phase from the monitors up to
+  // the root, or a sketch pull from the root down and back.
+  const AwaitPolicy await = [&](const std::function<bool()>& ready,
+                                const char* /*what*/) {
+    for (RegionalNoc& region : tier) (void)region.relay(bus);
+    for (LocalMonitor& monitor : monitors) monitor.handle_mail(bus);
+    for (RegionalNoc& region : tier) (void)region.relay(bus);
+    SPCA_ENSURES(ready());
+    return true;
+  };
 
   ScenarioRun run;
   for (std::size_t interval = 0; interval < scenario.config.intervals;
        ++interval) {
     const auto t = static_cast<std::int64_t>(interval);
-    const Vector& x_true = scenario.trace.row(interval);
-
-    // Monitors close the interval; reports go to their regional NOC.
-    for (const auto& monitor : monitors) {
-      for (const FlowId flow : monitor->flows()) {
-        monitor->ingest_volume(flow, x_true[flow]);
+    const Vector& x = scenario.trace.row(interval);
+    for (LocalMonitor& monitor : monitors) {
+      for (const FlowId flow : monitor.flows()) {
+        monitor.ingest_volume(flow, x[flow]);
       }
-      monitor->end_interval(t, bus);
+      monitor.end_interval(t, bus);
     }
-    // Each region merges its shard and forwards one aggregate per payload
-    // kind (volumes, and first-line scores when fusion is on) to the root.
-    for (RegionalNoc& region : tier) {
-      region.pump(bus);
-      SPCA_ENSURES(region.reports_ready() == t);
-      bus.send(region.take_merged_reports(kNocId));
-      if (fusion) {
-        SPCA_ENSURES(region.scores_ready() == t);
-        bus.send(region.take_merged_scores(kNocId));
-      }
-    }
-    // The root splits the aggregates by payload shape and unwraps them
-    // through the flat assembly path. Regions arrive in ascending order and
-    // each merge is sorted by monitor id, so the concatenated score list is
-    // in ascending monitor order — the flat reference's order.
-    std::vector<Message> reports;
-    reports.reserve(regions);
-    std::vector<MonitorScore> scores;
-    for (const Message& agg : bus.take(kNocId, MessageType::kAggregate)) {
-      if (fusion && aggregate_shape_is(agg, MessageType::kScoreReport, rows)) {
-        const auto part = parse_score_report(
-            unwrap_aggregate(agg, MessageType::kScoreReport, rows));
-        scores.insert(scores.end(), part.begin(), part.end());
-        continue;
-      }
-      reports.push_back(
-          unwrap_aggregate(agg, MessageType::kVolumeReport, rows));
-    }
-    const Vector x = noc.assemble_volumes(t, reports);
-
-    if (interval + 1 < config.window) {  // warm-up, matching the flat run
-      if (fusion) (void)fusion->fuse(t, Detection{}, scores);
-      continue;
-    }
-
-    const auto pull = [&] {
-      noc.request_sketches(t, region_ids, bus);
-      for (RegionalNoc& region : tier) {
-        region.pump(bus);
-        const auto request = region.take_sketch_request();
-        SPCA_ENSURES(request == t);
-        region.forward_sketch_request(*request, bus);
-      }
-      for (const auto& monitor : monitors) monitor->handle_mail(bus);
-      for (RegionalNoc& region : tier) {
-        region.pump(bus);
-        SPCA_ENSURES(region.responses_ready() == t);
-        bus.send(region.take_merged_responses(kNocId));
-      }
-      for (const Message& agg : bus.take(kNocId, MessageType::kAggregate)) {
-        noc.ingest_sketch_response(
-            unwrap_aggregate(agg, MessageType::kSketchResponse, rows));
-      }
-      noc.refit();
-    };
-    const Detection det = noc.detect_with_pull(t, x, pull, bus);
-    run.distances.push_back(det.distance);
-    if (det.alarm) run.alarm_intervals.push_back(t);
-    if (fusion) {
-      const FusedDecision fused = fusion->fuse(t, det, scores);
-      run.fused_statistics.push_back(fused.statistic);
-      if (fused.alarm) run.fused_alarm_intervals.push_back(t);
-    }
+    run.record(t, *root.run(t, bus, await));
   }
   run.stats = bus.stats();
   return run;

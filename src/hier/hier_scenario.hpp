@@ -36,12 +36,10 @@ struct HierWireAccounting {
 [[nodiscard]] HierWireAccounting hier_wire_accounting(
     const NetworkStats& stats);
 
-/// Runs the scenario single-process over a synchronous transport (SimNetwork
-/// by default) with `regions` regional NOCs between the monitors and the
-/// root, and returns the trajectory. Requires 1 <= regions <= monitors.
+/// Runs the scenario single-process over a SimNetwork with `regions`
+/// regional NOCs between the monitors and the root, and returns the
+/// trajectory. Requires 1 <= regions <= monitors.
 [[nodiscard]] ScenarioRun run_hier_scenario_sim(const NetScenario& scenario,
-                                                std::size_t regions,
-                                                Transport* transport =
-                                                    nullptr);
+                                                std::size_t regions);
 
 }  // namespace spca

@@ -8,6 +8,7 @@
 #include "common/contracts.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "common/serialize.hpp"
 #include "hier/regional_noc.hpp"
 #include "net/frame.hpp"
 #include "obs/flight_recorder.hpp"
@@ -22,87 +23,6 @@ constexpr std::chrono::milliseconds kWaitSlice{100};
 constexpr std::uint32_t kRegionSnapshotMagic = 0x53504352;  // 'SPCR'
 constexpr std::uint32_t kRegionSnapshotVersion = 1;
 
-void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void put_i64(std::vector<std::byte>& out, std::int64_t v) {
-  const auto u = static_cast<std::uint64_t>(v);
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::byte>((u >> (8 * i)) & 0xff));
-  }
-}
-
-struct Reader {
-  const std::vector<std::byte>& blob;
-  std::size_t pos = 0;
-  std::uint32_t u32() {
-    if (pos + 4 > blob.size()) {
-      throw ProtocolError("region snapshot: truncated");
-    }
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(blob[pos + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    pos += 4;
-    return v;
-  }
-  std::int64_t i64() {
-    if (pos + 8 > blob.size()) {
-      throw ProtocolError("region snapshot: truncated");
-    }
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(blob[pos + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    pos += 8;
-    return static_cast<std::int64_t>(v);
-  }
-};
-
-}  // namespace
-
-std::vector<std::byte> encode_region_snapshot(
-    std::size_t regions, std::size_t region,
-    const std::vector<NodeId>& monitors, std::int64_t next_interval) {
-  std::vector<std::byte> out;
-  put_u32(out, kRegionSnapshotMagic);
-  put_u32(out, kRegionSnapshotVersion);
-  put_u32(out, static_cast<std::uint32_t>(regions));
-  put_u32(out, static_cast<std::uint32_t>(region));
-  put_u32(out, static_cast<std::uint32_t>(monitors.size()));
-  for (const NodeId id : monitors) put_u32(out, id);
-  put_i64(out, next_interval);
-  return out;
-}
-
-RegionSnapshot decode_region_snapshot(const std::vector<std::byte>& blob) {
-  Reader r{blob};
-  if (r.u32() != kRegionSnapshotMagic) {
-    throw ProtocolError("region snapshot: bad magic");
-  }
-  if (r.u32() != kRegionSnapshotVersion) {
-    throw ProtocolError("region snapshot: unsupported version");
-  }
-  RegionSnapshot snap;
-  snap.regions = r.u32();
-  snap.region = r.u32();
-  const std::uint32_t count = r.u32();
-  snap.monitors.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) snap.monitors.push_back(r.u32());
-  snap.next_interval = r.i64();
-  if (r.pos != blob.size()) {
-    throw ProtocolError("region snapshot: trailing bytes");
-  }
-  return snap;
-}
-
-namespace {
-
 TcpTransportConfig region_tcp_config(const RegionalDaemonConfig& config) {
   TcpTransportConfig tcp;
   tcp.node_id = region_node_id(config.region);
@@ -115,6 +35,42 @@ TcpTransportConfig region_tcp_config(const RegionalDaemonConfig& config) {
 }
 
 }  // namespace
+
+std::vector<std::byte> encode_region_snapshot(
+    std::size_t regions, std::size_t region,
+    const std::vector<NodeId>& monitors, std::int64_t next_interval) {
+  ByteWriter out;
+  out.put(kRegionSnapshotMagic);
+  out.put(kRegionSnapshotVersion);
+  out.put(static_cast<std::uint32_t>(regions));
+  out.put(static_cast<std::uint32_t>(region));
+  out.put(static_cast<std::uint32_t>(monitors.size()));
+  for (const NodeId id : monitors) out.put(id);
+  out.put(next_interval);
+  return std::move(out).take();
+}
+
+RegionSnapshot decode_region_snapshot(const std::vector<std::byte>& blob) {
+  ByteReader in(blob);
+  if (in.get<std::uint32_t>() != kRegionSnapshotMagic) {
+    throw ProtocolError("region snapshot: bad magic");
+  }
+  if (in.get<std::uint32_t>() != kRegionSnapshotVersion) {
+    throw ProtocolError("region snapshot: unsupported version");
+  }
+  RegionSnapshot snap;
+  snap.regions = in.get<std::uint32_t>();
+  snap.region = in.get<std::uint32_t>();
+  const auto count = in.get<std::uint32_t>();
+  for (std::uint32_t i = 0; i < count; ++i) {
+    snap.monitors.push_back(in.get<NodeId>());
+  }
+  snap.next_interval = in.get<std::int64_t>();
+  if (!in.exhausted()) {
+    throw ProtocolError("region snapshot: trailing bytes");
+  }
+  return snap;
+}
 
 RegionalDaemon::RegionalDaemon(RegionalDaemonConfig config)
     : config_(std::move(config)), transport_(region_tcp_config(config_)) {}
@@ -142,7 +98,6 @@ RegionalDaemonResult RegionalDaemon::run() {
   SPCA_EXPECTS(config_.checkpoint_every >= 0);
   const std::vector<NodeId> shard = region_monitor_ids(
       config_.scenario.monitors, config_.regions, config_.region);
-  RegionalNoc region(config_.region, shard, config_.scenario.sketch_rows);
 
   std::optional<CheckpointStore> store;
   if (!config_.checkpoint_dir.empty()) {
@@ -175,39 +130,21 @@ RegionalDaemonResult RegionalDaemon::run() {
   if (config_.wrap_transport) wrapped = config_.wrap_transport(transport_);
   Transport& bus = wrapped ? *wrapped : static_cast<Transport&>(transport_);
 
-  // Live status endpoint, polled from this loop's wait slices.
   std::atomic<std::int64_t> current_interval{t};
-  std::optional<StatusServer> status;
-  if (config_.status_port >= 0) {
-    StatusServerConfig scfg;
-    scfg.host = config_.status_host;
-    scfg.port = config_.status_port;
-    scfg.healthy = [this] { return !stop_.load(std::memory_order_relaxed); };
-    scfg.health_body = [this, &current_interval, &result] {
-      std::ostringstream oss;
-      oss << "{\"healthy\":"
-          << (stop_.load(std::memory_order_relaxed) ? "false" : "true")
-          << ",\"role\":\"region\",\"region\":" << config_.region
-          << ",\"monitors\":" << region_monitor_ids(config_.scenario.monitors,
-                                                    config_.regions,
-                                                    config_.region)
-                                     .size()
-          << ",\"interval\":"
-          << current_interval.load(std::memory_order_relaxed)
-          << ",\"reconnects\":" << transport_.reconnects()
-          << ",\"restored_from_checkpoint\":"
-          << (result.restored_from_checkpoint ? "true" : "false") << "}\n";
-      return oss.str();
-    };
-    status.emplace(std::move(scfg));
-    if (config_.on_status_port) config_.on_status_port(status->port());
-    log_info("regiond ", config_.region, ": status endpoint on ",
-             config_.status_host, ":", status->port());
-  }
-  const auto poll_telemetry = [&] {
-    if (status) status->poll();
-    (void)FlightRecorder::global().poll_dump_request();
-  };
+  DaemonTelemetry telemetry(
+      config_.status_port, config_.status_host, config_.on_status_port, stop_,
+      "region",
+      [this, &current_interval, &result, &shard] {
+        std::ostringstream oss;
+        oss << ",\"region\":" << config_.region
+            << ",\"monitors\":" << shard.size() << ",\"interval\":"
+            << current_interval.load(std::memory_order_relaxed)
+            << ",\"reconnects\":" << transport_.reconnects()
+            << ",\"restored_from_checkpoint\":"
+            << (result.restored_from_checkpoint ? "true" : "false");
+        return oss.str();
+      },
+      "regiond " + std::to_string(config_.region));
 
   const auto intervals = static_cast<std::int64_t>(config_.scenario.intervals);
   const std::int64_t end = config_.last_interval >= 0
@@ -225,21 +162,15 @@ RegionalDaemonResult RegionalDaemon::run() {
                                         shard, t));
   };
 
-  // Event-driven relay loop. Each pass drains whatever arrived and acts on
-  // it; the deadline clock resets on any progress. Aggregates for intervals
-  // the root has already seen (stale duplicates after a monitor reconnect)
-  // are merged and dropped, never re-sent.
-  std::int64_t reports_forwarded_through = t - 1;
-  std::int64_t scores_forwarded_through = t - 1;
+  // Event-driven loop: each pass relays whatever arrived (RegionalNoc::relay)
+  // and relays the root's advances down to the shard; the deadline clock
+  // resets on any progress.
+  RegionalNoc region(config_.region, shard, config_.scenario.sketch_rows, t);
   auto waited = std::chrono::milliseconds(0);
   while (t < end && !stop_.load(std::memory_order_relaxed)) {
     current_interval.store(t, std::memory_order_relaxed);
-    poll_telemetry();
-    bool progressed = false;
-
-    region.pump(bus);
-
-    // Advances end intervals; relay them first so the shard never stalls.
+    telemetry.poll();
+    bool progressed = region.relay(bus);
     while (auto control = transport_.poll_control()) {
       if (control->type != FrameType::kAdvance) continue;
       const std::int64_t advanced = decode_interval_payload(control->payload);
@@ -257,35 +188,6 @@ RegionalDaemonResult RegionalDaemon::run() {
         checkpoint(/*force=*/false);
       }
     }
-
-    while (auto request = region.take_sketch_request()) {
-      region.forward_sketch_request(*request, bus);
-      progressed = true;
-    }
-
-    if (region.responses_ready().has_value()) {
-      bus.send(region.take_merged_responses(kNocId));
-      progressed = true;
-    }
-
-    if (const auto ready = region.reports_ready()) {
-      Message merged = region.take_merged_reports(kNocId);
-      if (*ready > reports_forwarded_through) {
-        reports_forwarded_through = *ready;
-        bus.send(merged);
-      }
-      progressed = true;
-    }
-
-    if (const auto ready = region.scores_ready()) {
-      Message merged = region.take_merged_scores(kNocId);
-      if (*ready > scores_forwarded_through) {
-        scores_forwarded_through = *ready;
-        bus.send(merged);
-      }
-      progressed = true;
-    }
-
     if (progressed) {
       waited = std::chrono::milliseconds(0);
       continue;

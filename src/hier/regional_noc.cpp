@@ -30,10 +30,12 @@ Counter& forwards_counter() {
 }  // namespace
 
 RegionalNoc::RegionalNoc(std::size_t region, std::vector<NodeId> monitors,
-                         std::size_t sketch_rows)
+                         std::size_t sketch_rows, std::int64_t next_interval)
     : region_(region),
       monitors_(std::move(monitors)),
-      sketch_rows_(sketch_rows) {
+      sketch_rows_(sketch_rows),
+      reports_forwarded_through_(next_interval - 1),
+      scores_forwarded_through_(next_interval - 1) {
   SPCA_EXPECTS(!monitors_.empty());
   std::sort(monitors_.begin(), monitors_.end());
   SPCA_EXPECTS(std::adjacent_find(monitors_.begin(), monitors_.end()) ==
@@ -41,103 +43,77 @@ RegionalNoc::RegionalNoc(std::size_t region, std::vector<NodeId> monitors,
   SPCA_EXPECTS(monitors_.front() != kNocId && !is_region_node(monitors_.back()));
 }
 
-void RegionalNoc::pump(Transport& bus) {
+bool RegionalNoc::relay(Transport& bus) {
+  bool progressed = false;
   for (Message& msg : bus.drain(id())) {
-    switch (msg.type) {
-      case MessageType::kVolumeReport:
-      case MessageType::kScoreReport:
-      case MessageType::kSketchResponse: {
-        if (!std::binary_search(monitors_.begin(), monitors_.end(),
-                                msg.from)) {
-          throw ProtocolError("RegionalNoc: message from outside the shard");
-        }
-        const std::size_t per_flow =
-            msg.type == MessageType::kVolumeReport  ? 1
-            : msg.type == MessageType::kScoreReport ? 2
-                                                    : sketch_rows_ + 2;
-        if (msg.ids.empty() ||
-            msg.values.size() != msg.ids.size() * per_flow) {
-          throw ProtocolError("RegionalNoc: malformed payload shape");
-        }
-        auto& store = msg.type == MessageType::kVolumeReport  ? reports_
-                      : msg.type == MessageType::kScoreReport ? scores_
-                                                              : responses_;
-        store[msg.from] = std::move(msg);
-        break;
-      }
-      case MessageType::kSketchRequest:
-        requests_.push_back(msg.interval);
-        break;
-      default:
-        throw ProtocolError("RegionalNoc: unexpected message type");
+    if (msg.type != MessageType::kSketchRequest) {
+      store(std::move(msg));
+      continue;
     }
+    for (const NodeId monitor : monitors_) {
+      bus.send(sketch_request(id(), monitor, msg.interval));
+      forwards_counter().inc();
+    }
+    progressed = true;
   }
+  if (ready(responses_)) {
+    bus.send(take_merged(responses_));
+    progressed = true;
+  }
+  const auto forward_once = [&](std::map<NodeId, Message>& pending,
+                                std::int64_t& forwarded_through) {
+    const auto ready_at = ready(pending);
+    if (!ready_at) return;
+    Message merged = take_merged(pending);
+    if (*ready_at > forwarded_through) {
+      forwarded_through = *ready_at;
+      bus.send(merged);
+    }
+    progressed = true;
+  };
+  forward_once(reports_, reports_forwarded_through_);
+  forward_once(scores_, scores_forwarded_through_);
+  return progressed;
+}
+
+void RegionalNoc::store(Message msg) {
+  if (msg.type != MessageType::kVolumeReport &&
+      msg.type != MessageType::kScoreReport &&
+      msg.type != MessageType::kSketchResponse) {
+    throw ProtocolError("RegionalNoc: unexpected message type");
+  }
+  if (!std::binary_search(monitors_.begin(), monitors_.end(), msg.from)) {
+    throw ProtocolError("RegionalNoc: message from outside the shard");
+  }
+  const bool volumes = msg.type == MessageType::kVolumeReport;
+  const bool scores = msg.type == MessageType::kScoreReport;
+  const std::size_t per_flow = volumes ? 1 : scores ? 2 : sketch_rows_ + 2;
+  if (msg.ids.empty() || msg.values.size() != msg.ids.size() * per_flow) {
+    throw ProtocolError("RegionalNoc: malformed payload shape");
+  }
+  auto& by_sender = volumes ? reports_ : scores ? scores_ : responses_;
+  by_sender[msg.from] = std::move(msg);
 }
 
 std::optional<std::int64_t> RegionalNoc::ready(
-    const std::map<NodeId, Message>& store) const {
-  if (store.size() < monitors_.size()) return std::nullopt;
-  const std::int64_t t = store.begin()->second.interval;
-  for (const auto& [id, msg] : store) {
+    const std::map<NodeId, Message>& pending) const {
+  if (pending.size() < monitors_.size()) return std::nullopt;
+  const std::int64_t t = pending.begin()->second.interval;
+  for (const auto& [sender, msg] : pending) {
     if (msg.interval != t) return std::nullopt;
   }
   return t;
 }
 
-Message RegionalNoc::take_merged(std::map<NodeId, Message>& store,
-                                 NodeId to) {
-  SPCA_EXPECTS(ready(store).has_value());
+Message RegionalNoc::take_merged(std::map<NodeId, Message>& pending) {
   std::vector<Message> parts;
-  parts.reserve(store.size());
-  for (auto& [id, msg] : store) parts.push_back(std::move(msg));
-  store.clear();
+  parts.reserve(pending.size());
+  for (auto& [sender, msg] : pending) parts.push_back(std::move(msg));
+  pending.clear();
   ++merges_;
   merges_counter().inc();
   aggregates_counter().inc();
-  return merge_aggregate(std::move(parts), id(), to);
-}
-
-std::optional<std::int64_t> RegionalNoc::reports_ready() const {
-  return ready(reports_);
-}
-
-Message RegionalNoc::take_merged_reports(NodeId to) {
-  return take_merged(reports_, to);
-}
-
-std::optional<std::int64_t> RegionalNoc::scores_ready() const {
-  return ready(scores_);
-}
-
-Message RegionalNoc::take_merged_scores(NodeId to) {
-  return take_merged(scores_, to);
-}
-
-std::optional<std::int64_t> RegionalNoc::take_sketch_request() {
-  if (requests_.empty()) return std::nullopt;
-  const std::int64_t t = requests_.front();
-  requests_.pop_front();
-  return t;
-}
-
-void RegionalNoc::forward_sketch_request(std::int64_t t, Transport& bus) {
-  for (const NodeId monitor : monitors_) {
-    Message request;
-    request.type = MessageType::kSketchRequest;
-    request.from = id();
-    request.to = monitor;
-    request.interval = t;
-    bus.send(request);
-    forwards_counter().inc();
-  }
-}
-
-std::optional<std::int64_t> RegionalNoc::responses_ready() const {
-  return ready(responses_);
-}
-
-Message RegionalNoc::take_merged_responses(NodeId to) {
-  return take_merged(responses_, to);
+  return merge_aggregate(std::move(parts), id(), kNocId);
 }
 
 }  // namespace spca

@@ -1,20 +1,21 @@
 // Regional NOC node (the middle tier of the hierarchical deployment): owns
 // a shard of monitors, collects their per-interval messages, and forwards
 // ONE merged kAggregate per phase up to the root NOC. Downstream it fans
-// root sketch requests out to its monitors and relays kAdvance.
+// root sketch requests out to its monitors (kAdvance relaying is the
+// daemon's, since control frames are not Messages).
 //
 // The node holds no sketch or model state — merging is pure concatenation
 // in sorted monitor id order (dist/aggregate.hpp) — which is what makes a
 // regional NOC cheap to restart: its monitors re-send their current
 // interval on reconnect and the merge is reproduced bit-identically.
 //
-// The class is transport-generic: the synchronous hierarchy simulation
-// (hier/hier_scenario.hpp) and the TCP regional daemon
-// (hier/regional_daemon.hpp) drive the same collection state machine.
+// `relay` is the node's whole per-pass behaviour, written once: the
+// hierarchy simulation (hier/hier_scenario.hpp) calls it from the root's
+// await policy, and the TCP regional daemon (hier/regional_daemon.hpp)
+// from its event loop between waits on the socket.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
 #include <vector>
@@ -29,62 +30,41 @@ namespace spca {
 class RegionalNoc final {
  public:
   /// `monitors` is this region's monitor shard (any order; stored sorted).
+  /// `next_interval` is the first interval whose reports are still to be
+  /// forwarded (a restarted node resumes from its snapshot's interval).
   RegionalNoc(std::size_t region, std::vector<NodeId> monitors,
-              std::size_t sketch_rows);
+              std::size_t sketch_rows, std::int64_t next_interval = 0);
 
   [[nodiscard]] NodeId id() const noexcept { return region_node_id(region_); }
-  [[nodiscard]] std::size_t region() const noexcept { return region_; }
   [[nodiscard]] const std::vector<NodeId>& monitors() const noexcept {
     return monitors_;
   }
 
-  /// Drains this node's mailbox: volume reports, first-line score reports,
-  /// and sketch responses from the shard are stored keyed by sender
-  /// (last-wins — a reconnecting monitor re-sends an identical copy), root
-  /// sketch requests are queued for take_sketch_request(). Messages from
-  /// outside the shard or of an unexpected type throw ProtocolError.
-  void pump(Transport& bus);
+  /// One relay pass. Drains the mailbox: each root sketch request fans out
+  /// to the whole shard at once; volume reports, score reports and sketch
+  /// responses from the shard are stored keyed by sender (last-wins — a
+  /// reconnecting monitor re-sends an identical copy). Then every store
+  /// whose shard is complete on one interval (the kAdvance lock-step makes
+  /// mixed intervals transient) is merged and sent to the root: sketch
+  /// responses whenever complete (the root may re-request them), reports
+  /// and scores once per interval (a merge of an interval already forwarded
+  /// is a stale duplicate after a monitor reconnect and is dropped).
+  /// Returns whether the pass forwarded or dropped anything. Messages from
+  /// outside the shard, of a malformed shape or of an unexpected type throw
+  /// ProtocolError.
+  bool relay(Transport& bus);
 
-  /// Interval whose volume reports are complete: every monitor of the shard
-  /// has reported and all reports agree on the interval (the kAdvance
-  /// lock-step makes mixed intervals transient).
-  [[nodiscard]] std::optional<std::int64_t> reports_ready() const;
-
-  /// Merges and clears the collected volume reports into one kAggregate to
-  /// `to`. Requires reports_ready().
-  [[nodiscard]] Message take_merged_reports(NodeId to);
-
-  /// Interval whose first-line score reports are complete (same rule as
-  /// reports). Scores only arrive when the deployment runs with ensemble
-  /// fusion enabled, so callers gate on the scenario's fusion setting.
-  [[nodiscard]] std::optional<std::int64_t> scores_ready() const;
-
-  /// Merges and clears the collected score reports into one kAggregate to
-  /// `to`. Requires scores_ready().
-  [[nodiscard]] Message take_merged_scores(NodeId to);
-
-  /// Pops the oldest pending sketch-request interval, if any.
-  [[nodiscard]] std::optional<std::int64_t> take_sketch_request();
-
-  /// Fans a sketch request for interval `t` out to every monitor of the
-  /// shard.
-  void forward_sketch_request(std::int64_t t, Transport& bus);
-
-  /// Interval whose sketch responses are complete (same rule as reports).
-  [[nodiscard]] std::optional<std::int64_t> responses_ready() const;
-
-  /// Merges and clears the collected sketch responses into one kAggregate
-  /// to `to`. Requires responses_ready().
-  [[nodiscard]] Message take_merged_responses(NodeId to);
-
-  /// Merges performed by this node (both phases).
+  /// Merges performed by this node (all phases).
   [[nodiscard]] std::uint64_t merges() const noexcept { return merges_; }
 
  private:
+  /// Stores one shard message keyed by sender.
+  void store(Message msg);
+  /// The interval every monitor of the shard reported in `pending`, if any.
   [[nodiscard]] std::optional<std::int64_t> ready(
-      const std::map<NodeId, Message>& store) const;
-  [[nodiscard]] Message take_merged(std::map<NodeId, Message>& store,
-                                    NodeId to);
+      const std::map<NodeId, Message>& pending) const;
+  /// Merges and clears `pending` into one kAggregate to the root.
+  [[nodiscard]] Message take_merged(std::map<NodeId, Message>& pending);
 
   std::size_t region_;
   std::vector<NodeId> monitors_;  // sorted ascending
@@ -92,8 +72,10 @@ class RegionalNoc final {
   std::map<NodeId, Message> reports_;
   std::map<NodeId, Message> scores_;
   std::map<NodeId, Message> responses_;
-  std::deque<std::int64_t> requests_;
   std::uint64_t merges_ = 0;
+  /// Last interval whose report / score merge went to the root.
+  std::int64_t reports_forwarded_through_;
+  std::int64_t scores_forwarded_through_;
 };
 
 }  // namespace spca

@@ -21,10 +21,6 @@ namespace {
 
 constexpr std::chrono::milliseconds kWaitSlice{100};
 
-std::string monitor_store_name(NodeId id) {
-  return "monitor" + std::to_string(id);
-}
-
 }  // namespace
 
 MonitorDaemon::MonitorDaemon(MonitorDaemonConfig config)
@@ -38,46 +34,28 @@ MonitorDaemonResult MonitorDaemon::run() {
   // the protocol loop below.
   std::atomic<std::int64_t> current_interval{-1};
   std::atomic<bool> restored_flag{false};
-  std::optional<StatusServer> status;
-  if (config_.status_port >= 0) {
-    StatusServerConfig scfg;
-    scfg.host = config_.status_host;
-    scfg.port = config_.status_port;
-    scfg.healthy = [this] { return !stop_.load(std::memory_order_relaxed); };
-    scfg.health_body = [this, &current_interval, &restored_flag] {
-      std::ostringstream oss;
-      oss << "{\"healthy\":"
-          << (stop_.load(std::memory_order_relaxed) ? "false" : "true")
-          << ",\"role\":\"monitor\",\"id\":"
-          << static_cast<int>(config_.monitor_id) << ",\"interval\":"
-          << current_interval.load(std::memory_order_relaxed)
-          << ",\"restored_from_checkpoint\":"
-          << (restored_flag.load(std::memory_order_relaxed) ? "true" : "false")
-          << "}\n";
-      return oss.str();
-    };
-    status.emplace(std::move(scfg));
-    if (config_.on_status_port) config_.on_status_port(status->port());
-    log_info("monitord ", config_.monitor_id, ": status endpoint on ",
-             config_.status_host, ":", status->port());
-  }
-  const auto poll_telemetry = [&] {
-    if (status) status->poll();
-    (void)FlightRecorder::global().poll_dump_request();
-  };
+  DaemonTelemetry telemetry(
+      config_.status_port, config_.status_host, config_.on_status_port, stop_,
+      "monitor",
+      [this, &current_interval, &restored_flag] {
+        std::ostringstream oss;
+        oss << ",\"id\":" << static_cast<int>(config_.monitor_id)
+            << ",\"interval\":"
+            << current_interval.load(std::memory_order_relaxed)
+            << ",\"restored_from_checkpoint\":"
+            << (restored_flag.load(std::memory_order_relaxed) ? "true"
+                                                               : "false");
+        return oss.str();
+      },
+      "monitord " + std::to_string(config_.monitor_id));
 
   const NetScenario scenario = build_scenario(config_.scenario);
   const std::size_t m = scenario.trace.num_flows();
-  const SketchDetectorConfig& det = scenario.detector;
   SPCA_EXPECTS(config_.monitor_id >= 1 &&
                config_.monitor_id <= config_.scenario.monitors);
   SPCA_EXPECTS(config_.first_interval >= kAutoInterval);
   SPCA_EXPECTS(config_.checkpoint_every >= 0);
 
-  const ProjectionSource source =
-      det.projection == ProjectionKind::kVerySparse
-          ? ProjectionSource::very_sparse(det.seed, det.window)
-          : ProjectionSource(det.projection, det.seed, det.sparsity);
   const std::vector<FlowId> flows =
       scenario_flows_of(m, config_.scenario.monitors, config_.monitor_id);
 
@@ -85,10 +63,10 @@ MonitorDaemonResult MonitorDaemon::run() {
                        ? config_.last_interval
                        : static_cast<std::int64_t>(config_.scenario.intervals);
 
+  const std::string node = "monitor" + std::to_string(config_.monitor_id);
   std::optional<CheckpointStore> store;
   if (!config_.checkpoint_dir.empty()) {
-    store.emplace(config_.checkpoint_dir,
-                  monitor_store_name(config_.monitor_id));
+    store.emplace(config_.checkpoint_dir, node);
   }
 
   // Pick the sketch state and the interval at which to join the protocol.
@@ -139,8 +117,9 @@ MonitorDaemonResult MonitorDaemon::run() {
   }
   SPCA_EXPECTS(join >= 0 && join <= end);
   if (!monitor) {
-    monitor.emplace(config_.monitor_id, flows, det.window, det.epsilon,
-                    det.sketch_rows, source);
+    monitor.emplace(make_monitor(config_.monitor_id, m,
+                                 config_.scenario.monitors,
+                                 scenario.detector));
     // Ensemble plane: under any fusion rule the monitor scores its owned
     // volumes each interval and ships a kScoreReport with the volume
     // report. The warm-rebuild replay below advances the scorer too (it
@@ -168,17 +147,22 @@ MonitorDaemonResult MonitorDaemon::run() {
                        "' does not match the scenario shape");
     }
   }
-  const auto volume_row = [&](std::int64_t t) -> const double* {
-    if (!record_source) return nullptr;
+  // Feeds interval t's volumes of the owned flows into the monitor.
+  const auto ingest = [&](std::int64_t t) {
     std::int64_t got = 0;
-    while (streamed_to < t) {
+    while (record_source && streamed_to < t) {
       if (!record_source->next_interval(record_row, got)) {
         throw InputError("monitord: record stream ended before interval " +
                          std::to_string(t));
       }
       streamed_to = got;
     }
-    return record_row.data();
+    for (const FlowId flow : flows) {
+      monitor->ingest_volume(
+          flow, record_source ? record_row[flow]
+                              : scenario.trace.volumes()(
+                                    static_cast<std::size_t>(t), flow));
+    }
   };
 
   // Warm rebuild: replay the intervals the NOC has already accounted for,
@@ -187,14 +171,8 @@ MonitorDaemonResult MonitorDaemon::run() {
   // (Not span-instrumented: a never-restarted run has no rebuild, and the
   // sim and TCP span trees must stay structurally identical.)
   for (std::int64_t t = absorb_from; t < join; ++t) {
-    poll_telemetry();
-    const double* row = volume_row(t);
-    for (const FlowId flow : flows) {
-      monitor->ingest_volume(
-          flow, row != nullptr ? row[flow]
-                               : scenario.trace.volumes()(
-                                     static_cast<std::size_t>(t), flow));
-    }
+    telemetry.poll();
+    ingest(t);
     monitor->absorb_interval(t);
     ++result.intervals_absorbed;
   }
@@ -233,16 +211,9 @@ MonitorDaemonResult MonitorDaemon::run() {
   for (std::int64_t t = join; t < end; ++t) {
     if (stop_.load(std::memory_order_relaxed)) break;
     current_interval.store(t, std::memory_order_relaxed);
-    const double* row = volume_row(t);
     {
-      const ScopedSpan span("monitor" + std::to_string(config_.monitor_id),
-                            kStageIngestAbsorb, t);
-      for (const FlowId flow : flows) {
-        monitor->ingest_volume(
-            flow, row != nullptr ? row[flow]
-                                 : scenario.trace.volumes()(
-                                       static_cast<std::size_t>(t), flow));
-      }
+      const ScopedSpan span(node, kStageIngestAbsorb, t);
+      ingest(t);
     }
     monitor->end_interval(t, bus);
     ++result.intervals_reported;
@@ -286,12 +257,11 @@ MonitorDaemonResult MonitorDaemon::run() {
           // NOC still restarting; the io_timeout above bounds the retries.
         }
       }
-      poll_telemetry();
+      telemetry.poll();
     }
     if (!advanced) break;
     if (config_.after_advance) config_.after_advance(t, transport);
-    FlightRecorder::global().capture_metrics(
-        "monitor" + std::to_string(config_.monitor_id) + "_interval", t);
+    FlightRecorder::global().capture_metrics(node + "_interval", t);
     if (store) {
       consistent_blob = monitor->save_state();
       consistent_seq = t + 1;

@@ -39,4 +39,18 @@ std::chrono::milliseconds io_timeout_from_flags(const CliFlags& flags) {
   return std::chrono::milliseconds(positive(flags, "io-timeout-ms"));
 }
 
+void define_daemon_flags(CliFlags& flags) {
+  flags.define("checkpoint-dir", "",
+               "durable snapshot directory (empty = no checkpointing; with "
+               "a valid snapshot the daemon resumes mid-scenario)");
+  flags.define("checkpoint-every", "8",
+               "periodic snapshot cadence in intervals (0 = shutdown "
+               "snapshot only)");
+  flags.define("status-port", "-1",
+               "serve /metrics, /metrics.json, /healthz, /spans on this "
+               "port while running (-1 = off, 0 = ephemeral)");
+  flags.define("status-host", "127.0.0.1",
+               "bind address of the status endpoint");
+}
+
 }  // namespace spca

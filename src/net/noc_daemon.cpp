@@ -1,15 +1,13 @@
 #include "net/noc_daemon.hpp"
 
-#include <map>
 #include <sstream>
 
 #include "common/checkpoint_store.hpp"
 #include "common/contracts.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
-#include "detect/fusion.hpp"
 #include "dist/aggregate.hpp"
-#include "dist/noc.hpp"
+#include "dist/noc_step.hpp"
 #include "net/frame.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/status_server.hpp"
@@ -55,27 +53,14 @@ ScenarioRun NocDaemon::run() {
   SPCA_EXPECTS(started_);
   SPCA_EXPECTS(config_.checkpoint_every >= 0);
   const NetScenario scenario = build_scenario(config_.scenario);
-  const std::size_t num_monitors = config_.scenario.monitors;
-  const std::vector<NodeId> monitor_ids = scenario_monitor_ids(num_monitors);
   // Hierarchical mode: the root's direct children are regional NOCs, which
   // deliver each phase as one shape-tagged kAggregate per region and relay
-  // kAdvance down to their shards. The unwrap feeds the exact flat-mode
-  // code path, so the trajectory is bit-identical by construction.
+  // kAdvance down to their shards.
   const bool hier = config_.regions > 0;
-  if (hier) SPCA_EXPECTS(config_.regions <= num_monitors);
+  if (hier) SPCA_EXPECTS(config_.regions <= config_.scenario.monitors);
   const std::vector<NodeId> children =
-      hier ? region_node_ids(config_.regions) : monitor_ids;
-  const std::size_t num_children = children.size();
-  const std::size_t rows = config_.scenario.sketch_rows;
-  // Ensemble plane: when fusion is on, every child also ships first-line
-  // scores each interval (kScoreReport flat, score-shaped kAggregate hier)
-  // and the root fuses them with the sketch-PCA verdict.
-  std::optional<FusionEngine> fusion;
-  if (config_.scenario.fusion != "off") {
-    FusionConfig fusion_config;
-    fusion_config.rule = parse_fusion_rule(config_.scenario.fusion);
-    fusion.emplace(fusion_config);
-  }
+      hier ? region_node_ids(config_.regions)
+           : scenario_monitor_ids(config_.scenario.monitors);
 
   std::optional<CheckpointStore> store;
   if (!config_.checkpoint_dir.empty()) {
@@ -110,51 +95,47 @@ ScenarioRun NocDaemon::run() {
     noc.emplace(scenario.trace.num_flows(),
                 noc_config_from(scenario.detector, /*host_sketches=*/false));
   }
+  NocStep step(std::move(*noc), children, /*aggregated=*/hier,
+               static_cast<std::uint64_t>(start));
+  // Ensemble plane: every child then also ships first-line scores each
+  // interval, and the step fuses them with the sketch-PCA verdict.
+  if (const auto fusion = scenario_fusion(config_.scenario)) {
+    step.enable_fusion(*fusion);
+  }
 
   std::unique_ptr<Transport> wrapped;
   if (config_.wrap_transport) wrapped = config_.wrap_transport(transport_);
   Transport& bus = wrapped ? *wrapped : static_cast<Transport&>(transport_);
 
-  // Live status endpoint, polled from this loop's wait slices. Health and
-  // the /healthz body read only atomics/transport counters, so a scrape
-  // never touches (or perturbs) protocol state.
-  const auto intervals_total =
-      static_cast<std::int64_t>(config_.scenario.intervals);
+  // Health and the /healthz body read only atomics and transport counters,
+  // so a scrape never touches (or perturbs) protocol state.
+  const auto intervals = static_cast<std::int64_t>(config_.scenario.intervals);
   std::atomic<std::int64_t> current_interval{start};
-  std::optional<StatusServer> status;
-  if (config_.status_port >= 0) {
-    StatusServerConfig scfg;
-    scfg.host = config_.status_host;
-    scfg.port = config_.status_port;
-    scfg.healthy = [this] { return !stop_.load(std::memory_order_relaxed); };
-    scfg.health_body = [this, &current_interval, intervals_total] {
-      std::ostringstream oss;
-      oss << "{\"healthy\":"
-          << (stop_.load(std::memory_order_relaxed) ? "false" : "true")
-          << ",\"role\":\"noc\",\"regions\":" << config_.regions
-          << ",\"interval\":"
-          << current_interval.load(std::memory_order_relaxed)
-          << ",\"intervals_total\":" << intervals_total
-          << ",\"reconnects\":" << transport_.reconnects()
-          << ",\"poller\":\"" << transport_.poller_backend() << "\""
-          << ",\"fusion\":\"" << config_.scenario.fusion << "\""
-          << ",\"checkpointing\":"
-          << (config_.checkpoint_dir.empty() ? "false" : "true") << "}\n";
-      return oss.str();
-    };
-    status.emplace(std::move(scfg));
-    if (config_.on_status_port) config_.on_status_port(status->port());
-    log_info("nocd: status endpoint on ", config_.status_host, ":",
-             status->port());
-  }
-  const auto poll_telemetry = [&] {
-    if (status) status->poll();
-    (void)FlightRecorder::global().poll_dump_request();
-  };
+  DaemonTelemetry telemetry(
+      config_.status_port, config_.status_host, config_.on_status_port, stop_,
+      "noc",
+      [this, &current_interval, intervals] {
+        std::ostringstream oss;
+        oss << ",\"regions\":" << config_.regions << ",\"interval\":"
+            << current_interval.load(std::memory_order_relaxed)
+            << ",\"intervals_total\":" << intervals
+            << ",\"reconnects\":" << transport_.reconnects()
+            << ",\"poller\":\"" << transport_.poller_backend() << "\""
+            << ",\"fusion\":\"" << config_.scenario.fusion << "\""
+            << ",\"checkpointing\":"
+            << (config_.checkpoint_dir.empty() ? "false" : "true");
+        return oss.str();
+      },
+      "nocd");
 
-  // Waits until `ready()` or the interval deadline; false when stopping.
-  const auto wait_until = [&](const auto& ready, const char* what) {
+  // The daemon's await policy: wait on the transport in short slices up to
+  // the interval deadline, serving telemetry in between. A child that
+  // redials mid-pull (a regional NOC that restarted, say) lost the sketch
+  // request with its old connection, so it is asked again.
+  const AwaitPolicy await = [&](const std::function<bool()>& ready,
+                                const char* what) {
     auto waited = std::chrono::milliseconds(0);
+    std::uint64_t seen_reconnects = transport_.reconnects();
     while (!ready()) {
       if (stop_.load(std::memory_order_relaxed)) return false;
       if (!bus.wait_for_mail(kNocId, kWaitSlice)) {
@@ -164,13 +145,17 @@ ScenarioRun NocDaemon::run() {
                                what);
         }
       }
-      poll_telemetry();
+      const std::uint64_t reconnects = transport_.reconnects();
+      if (reconnects != seen_reconnects) {
+        seen_reconnects = reconnects;
+        step.rerequest_missing(bus);
+      }
+      telemetry.poll();
     }
     return true;
   };
 
   ScenarioRun run;
-  const auto intervals = static_cast<std::int64_t>(config_.scenario.intervals);
   const std::int64_t end = config_.last_interval >= 0
                                ? std::min(intervals, config_.last_interval)
                                : intervals;
@@ -178,154 +163,14 @@ ScenarioRun NocDaemon::run() {
   std::int64_t done_through = start;
   for (std::int64_t t = start; t < end; ++t) {
     current_interval.store(t, std::memory_order_relaxed);
-    poll_telemetry();
-    // Phase 1: every child reports interval t's volumes — per-monitor
-    // reports when flat, one volume-shaped aggregate per region when
-    // hierarchical. The kAdvance lock-step guarantees no report for t+1 can
-    // arrive yet. Keyed by sender: a child that reconnected (e.g. after
-    // this daemon restarted from a checkpoint) re-sends its report, and the
-    // duplicate copy is identical, so last-wins per child is safe. Reports
-    // for already-finished intervals (stale re-sends) are discarded, as are
-    // sketch-shaped aggregates (racing duplicates of a finished pull).
-    std::map<NodeId, Message> reports_by_child;
-    std::map<NodeId, Message> scores_by_child;
-    if (!wait_until(
-            [&] {
-              const MessageType wire = hier ? MessageType::kAggregate
-                                            : MessageType::kVolumeReport;
-              for (Message& msg : bus.take(kNocId, wire)) {
-                if (msg.interval < t) continue;  // stale re-send
-                if (hier) {
-                  // The aggregate wire carries volume-, score-, and
-                  // sketch-shaped payloads; route by shape. Sketch-shaped
-                  // strays (racing duplicates of a finished pull) drop.
-                  if (fusion && aggregate_shape_is(
-                                    msg, MessageType::kScoreReport, rows)) {
-                    scores_by_child[msg.from] = std::move(msg);
-                    continue;
-                  }
-                  if (!aggregate_shape_is(msg, MessageType::kVolumeReport,
-                                          rows)) {
-                    continue;
-                  }
-                }
-                reports_by_child[msg.from] = std::move(msg);
-              }
-              if (fusion && !hier) {
-                for (Message& msg :
-                     bus.take(kNocId, MessageType::kScoreReport)) {
-                  if (msg.interval < t) continue;  // stale re-send
-                  scores_by_child[msg.from] = std::move(msg);
-                }
-              }
-              return reports_by_child.size() >= num_children &&
-                     (!fusion || scores_by_child.size() >= num_children);
-            },
-            "volume reports")) {
-      break;
-    }
-    std::vector<Message> reports;
-    reports.reserve(reports_by_child.size());
-    for (auto& [id, msg] : reports_by_child) {
-      reports.push_back(
-          hier ? unwrap_aggregate(msg, MessageType::kVolumeReport, rows)
-               : std::move(msg));
-    }
-    const Vector x = noc->assemble_volumes(t, reports);
-    // Decode the first-line scores in ascending child order (std::map), the
-    // same order the simulation sees, so the fused trajectory is
-    // bit-identical.
-    std::vector<MonitorScore> scores;
-    if (fusion) {
-      for (auto& [id, msg] : scores_by_child) {
-        const Message report =
-            hier ? unwrap_aggregate(msg, MessageType::kScoreReport, rows)
-                 : std::move(msg);
-        for (const MonitorScore& s : parse_score_report(report)) {
-          scores.push_back(s);
-        }
-      }
-    }
+    telemetry.poll();
+    const std::optional<IntervalVerdict> verdict = step.run(t, bus, await);
+    if (!verdict) break;
+    run.record(t, *verdict);
 
-    // Phase 2: detection, matching DistributedDetector's warm-up skip.
-    if (t + 1 >= static_cast<std::int64_t>(scenario.detector.window)) {
-      const auto pull = [&] {
-        noc->request_sketches(t, children, bus);
-        if (!hier) {
-          std::size_t responses = 0;
-          if (!wait_until(
-                  [&] {
-                    for (const Message& msg :
-                         bus.take(kNocId, MessageType::kSketchResponse)) {
-                      noc->ingest_sketch_response(msg);
-                      ++responses;
-                    }
-                    return responses >= num_monitors;
-                  },
-                  "sketch responses")) {
-            throw TransportError("nocd: stopped during a sketch pull");
-          }
-        } else {
-          // Sketch aggregates are keyed by region: a regional NOC that died
-          // mid-pull lost the request with its connection, so when a region
-          // redials we re-request from every region still missing. The
-          // duplicate response a racing original may deliver is identical
-          // (monitor sketch snapshots are read-only), so last-wins is safe.
-          std::map<NodeId, Message> responses;
-          std::uint64_t seen_reconnects = transport_.reconnects();
-          if (!wait_until(
-                  [&] {
-                    for (Message& msg :
-                         bus.take(kNocId, MessageType::kAggregate)) {
-                      if (msg.interval != t) continue;
-                      if (!aggregate_shape_is(
-                              msg, MessageType::kSketchResponse, rows)) {
-                        continue;
-                      }
-                      responses[msg.from] = std::move(msg);
-                    }
-                    if (responses.size() >= num_children) return true;
-                    const std::uint64_t rc = transport_.reconnects();
-                    if (rc != seen_reconnects) {
-                      seen_reconnects = rc;
-                      for (const NodeId child : children) {
-                        if (responses.count(child) != 0) continue;
-                        Message request;
-                        request.type = MessageType::kSketchRequest;
-                        request.from = kNocId;
-                        request.to = child;
-                        request.interval = t;
-                        bus.send(request);
-                      }
-                    }
-                    return false;
-                  },
-                  "sketch responses")) {
-            throw TransportError("nocd: stopped during a sketch pull");
-          }
-          for (auto& [id, msg] : responses) {
-            noc->ingest_sketch_response(
-                unwrap_aggregate(msg, MessageType::kSketchResponse, rows));
-          }
-        }
-        noc->refit();
-      };
-      const Detection det = noc->detect_with_pull(t, x, pull, bus);
-      run.distances.push_back(det.distance);
-      if (det.alarm) run.alarm_intervals.push_back(t);
-      if (fusion) {
-        const FusedDecision fused = fusion->fuse(t, det, scores);
-        run.fused_statistics.push_back(fused.statistic);
-        if (fused.alarm) run.fused_alarm_intervals.push_back(t);
-      }
-    } else if (fusion) {
-      // Warm-up: fuse abstains but still runs, matching the simulation's
-      // metric/trace accounting interval for interval.
-      (void)fusion->fuse(t, Detection{}, scores);
-    }
-
-    // Phase 3: release the children into interval t+1 (regional NOCs relay
-    // the advance to their shards).
+    // Release the children into interval t+1 (regional NOCs relay the
+    // advance to their shards). The lock-step guarantees that no report
+    // for t+1 arrives before it.
     for (const NodeId child : children) {
       transport_.send_control(child, FrameType::kAdvance,
                               encode_interval_payload(t));
@@ -336,22 +181,22 @@ ScenarioRun NocDaemon::run() {
     if (store && config_.checkpoint_every > 0 &&
         done_through % config_.checkpoint_every == 0) {
       store->write(static_cast<std::uint64_t>(done_through),
-                   noc->save_state());
+                   step.noc().save_state());
       FlightRecorder::global().note("noc_checkpoint", done_through);
     }
   }
 
   if (store) {
     const std::string path = store->write(
-        static_cast<std::uint64_t>(done_through), noc->save_state());
+        static_cast<std::uint64_t>(done_through), step.noc().save_state());
     log_info("nocd: final checkpoint (interval ", done_through, ") at ",
              path);
   }
 
   run.stats = transport_.stats();
   log_info("nocd: finished, ", run.alarm_intervals.size(), " alarms, ",
-           noc->sketch_pulls(), " sketch pulls, ", transport_.reconnects(),
-           " reconnects");
+           step.noc().sketch_pulls(), " sketch pulls, ",
+           transport_.reconnects(), " reconnects");
   return run;
 }
 

@@ -1,9 +1,9 @@
-// NOC daemon: wraps the Noc protocol engine in a TCP server loop. Listens
-// for the monitors, assembles each interval's volume reports, runs the lazy
-// detection protocol (pulling sketches over the wire when the stale model
-// raises a hand), and releases the monitors into the next interval with a
-// kAdvance frame — the flow control that keeps the multi-process run in the
-// simulation's lock-step, and therefore bit-identical to it.
+// NOC daemon: runs the NOC's interval step (dist/noc_step.hpp) over a TCP
+// server. Listens for the monitors (or regional NOCs), runs the step for
+// each interval with an await policy that waits on the sockets against the
+// interval deadline, and releases the children into the next interval with
+// a kAdvance frame — the flow control that keeps the multi-process run in
+// the simulation's lock-step, and therefore bit-identical to it.
 #pragma once
 
 #include <atomic>

@@ -1,6 +1,7 @@
 #include "net/scenario.hpp"
 
-#include "common/contracts.hpp"
+#include <cstring>
+
 #include "common/error.hpp"
 #include "detect/fusion.hpp"
 #include "dist/distributed_detector.hpp"
@@ -101,24 +102,45 @@ NetScenario build_scenario(const NetScenarioConfig& config) {
   return NetScenario{config, std::move(trace), detector};
 }
 
-std::vector<FlowId> scenario_flows_of(std::size_t num_flows,
-                                      std::size_t num_monitors,
-                                      NodeId monitor) {
-  SPCA_EXPECTS(monitor >= 1 && monitor <= num_monitors);
-  std::vector<FlowId> flows;
-  for (std::size_t j = monitor - 1; j < num_flows; j += num_monitors) {
-    flows.push_back(static_cast<FlowId>(j));
-  }
-  return flows;
+void ScenarioRun::record(std::int64_t t, const IntervalVerdict& verdict) {
+  const Detection& det = verdict.detection;
+  if (!det.ready) return;
+  distances.push_back(det.distance);
+  if (det.alarm) alarm_intervals.push_back(t);
+  if (!verdict.fused.ready) return;
+  fused_statistics.push_back(verdict.fused.statistic);
+  if (verdict.fused.alarm) fused_alarm_intervals.push_back(t);
 }
 
-std::vector<NodeId> scenario_monitor_ids(std::size_t num_monitors) {
-  std::vector<NodeId> ids;
-  ids.reserve(num_monitors);
-  for (std::size_t k = 0; k < num_monitors; ++k) {
-    ids.push_back(static_cast<NodeId>(k + 1));
-  }
-  return ids;
+void ScenarioRun::append(const ScenarioRun& rest) {
+  const auto extend = [](auto& into, const auto& from) {
+    into.insert(into.end(), from.begin(), from.end());
+  };
+  extend(alarm_intervals, rest.alarm_intervals);
+  extend(distances, rest.distances);
+  extend(fused_alarm_intervals, rest.fused_alarm_intervals);
+  extend(fused_statistics, rest.fused_statistics);
+  stats += rest.stats;
+}
+
+bool trajectories_match(const ScenarioRun& a, const ScenarioRun& b) {
+  const auto bits_match = [](const std::vector<double>& x,
+                             const std::vector<double>& y) {
+    return x.size() == y.size() &&
+           (x.empty() || std::memcmp(x.data(), y.data(),
+                                     x.size() * sizeof(double)) == 0);
+  };
+  return a.alarm_intervals == b.alarm_intervals &&
+         a.fused_alarm_intervals == b.fused_alarm_intervals &&
+         bits_match(a.distances, b.distances) &&
+         bits_match(a.fused_statistics, b.fused_statistics);
+}
+
+std::optional<FusionConfig> scenario_fusion(const NetScenarioConfig& config) {
+  if (config.fusion == "off") return std::nullopt;
+  FusionConfig fusion;
+  fusion.rule = parse_fusion_rule(config.fusion);
+  return fusion;
 }
 
 ScenarioRun run_scenario_reference(const NetScenario& scenario,
@@ -126,26 +148,14 @@ ScenarioRun run_scenario_reference(const NetScenario& scenario,
   DistributedDetector detector(scenario.trace.num_flows(),
                                scenario.config.monitors, scenario.detector,
                                /*noc_hosted_sketches=*/false, transport);
-  const bool fusion = scenario.config.fusion != "off";
-  if (fusion) {
-    FusionConfig config;
-    config.rule = parse_fusion_rule(scenario.config.fusion);
-    detector.enable_fusion(config);
+  if (const auto fusion = scenario_fusion(scenario.config)) {
+    detector.enable_fusion(*fusion);
   }
   ScenarioRun run;
   for (std::size_t t = 0; t < scenario.config.intervals; ++t) {
-    const Detection det =
-        detector.observe(static_cast<std::int64_t>(t), scenario.trace.row(t));
-    if (!det.ready) continue;
-    run.distances.push_back(det.distance);
-    if (det.alarm) run.alarm_intervals.push_back(static_cast<std::int64_t>(t));
-    if (fusion) {
-      const FusedDecision& fused = detector.last_fused();
-      run.fused_statistics.push_back(fused.statistic);
-      if (fused.alarm) {
-        run.fused_alarm_intervals.push_back(static_cast<std::int64_t>(t));
-      }
-    }
+    const auto ti = static_cast<std::int64_t>(t);
+    const Detection det = detector.observe(ti, scenario.trace.row(t));
+    run.record(ti, IntervalVerdict{det, detector.last_fused()});
   }
   run.stats = detector.network_stats();
   return run;

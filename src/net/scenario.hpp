@@ -1,5 +1,5 @@
 // Shared deterministic deployment scenario for the socket daemons and the
-// transport parity tests.
+// sim-vs-socket parity tests.
 //
 // The monitor and NOC daemons run in separate processes, yet the loopback
 // e2e check demands that their joint trajectory is bit-identical to a
@@ -12,14 +12,14 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/cli.hpp"
 #include "core/sketch_detector.hpp"
-#include "dist/message.hpp"
-#include "net/transport.hpp"
-#include "traffic/flow.hpp"
+#include "dist/local_monitor.hpp"  // flow ownership and monitor ids
+#include "dist/noc_step.hpp"
 #include "traffic/trace.hpp"
 
 namespace spca {
@@ -62,16 +62,6 @@ struct NetScenario {
 /// trace and detector parameters, bit for bit).
 [[nodiscard]] NetScenario build_scenario(const NetScenarioConfig& config);
 
-/// The flows owned by the monitor with NodeId `monitor` (1-based; matches
-/// DistributedDetector's round-robin: flow j -> monitor 1 + j % k).
-[[nodiscard]] std::vector<FlowId> scenario_flows_of(std::size_t num_flows,
-                                                    std::size_t num_monitors,
-                                                    NodeId monitor);
-
-/// The monitor NodeIds of a deployment: 1..k (the NOC is kNocId = 0).
-[[nodiscard]] std::vector<NodeId> scenario_monitor_ids(
-    std::size_t num_monitors);
-
 /// One deployment trajectory, in replay order.
 struct ScenarioRun {
   /// Intervals whose detection raised an alarm.
@@ -87,7 +77,26 @@ struct ScenarioRun {
   std::vector<double> fused_statistics;
   /// Send-side wire accounting.
   NetworkStats stats;
+
+  /// Appends interval `t`'s verdict: nothing during warm-up, the fusion
+  /// trajectory only when the verdict was fused.
+  void record(std::int64_t t, const IntervalVerdict& verdict);
+
+  /// Appends the trajectory and wire accounting of a later incarnation of
+  /// the same deployment (a NOC restarted from its checkpoint).
+  void append(const ScenarioRun& rest);
 };
+
+/// Bit-exact trajectory comparison (distances, fused statistics and alarm
+/// intervals; wire stats are excluded — retransmits legitimately change
+/// byte counts). Doubles compare by their bits, so a trajectory that holds
+/// a NaN distance matches itself.
+[[nodiscard]] bool trajectories_match(const ScenarioRun& a,
+                                      const ScenarioRun& b);
+
+/// The fusion engine configuration of `config.fusion`; nullopt when off.
+[[nodiscard]] std::optional<FusionConfig> scenario_fusion(
+    const NetScenarioConfig& config);
 
 /// Runs the scenario single-process over the given transport (SimNetwork by
 /// default) and returns the trajectory — the reference the daemons'

@@ -13,6 +13,8 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/log.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span_log.hpp"
 
@@ -232,6 +234,35 @@ std::string StatusServer::route(const std::string& method,
 void StatusServer::close_connection(Connection& conn) noexcept {
   if (conn.fd >= 0) ::close(conn.fd);
   conn.fd = -1;
+}
+
+DaemonTelemetry::DaemonTelemetry(int port, const std::string& host,
+                                 const std::function<void(int)>& on_port,
+                                 const std::atomic<bool>& stopping,
+                                 std::string role,
+                                 std::function<std::string()> fields,
+                                 const std::string& log_name) {
+  if (port < 0) return;
+  StatusServerConfig config;
+  config.host = host;
+  config.port = port;
+  config.healthy = [&stopping] {
+    return !stopping.load(std::memory_order_relaxed);
+  };
+  config.health_body = [&stopping, role = std::move(role),
+                        fields = std::move(fields)] {
+    return std::string("{\"healthy\":") +
+           (stopping.load(std::memory_order_relaxed) ? "false" : "true") +
+           ",\"role\":\"" + role + "\"" + fields() + "}\n";
+  };
+  server_.emplace(std::move(config));
+  if (on_port) on_port(server_->port());
+  log_info(log_name, ": status endpoint on ", host, ":", server_->port());
+}
+
+void DaemonTelemetry::poll() {
+  if (server_) server_->poll();
+  (void)FlightRecorder::global().poll_dump_request();
 }
 
 }  // namespace spca

@@ -22,6 +22,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -98,6 +99,29 @@ class StatusServer final {
 
   std::thread background_;
   std::atomic<bool> stop_{false};
+};
+
+/// The live telemetry of one daemon, brought up the same way by every
+/// role: the status endpoint (none for a negative `port`; 0 binds an
+/// ephemeral port, reported through `on_port`) plus the flight recorder's
+/// pending dump requests, both served by poll() from the daemon's wait
+/// slices. /healthz turns 503 once `stopping` is set and answers
+/// {"healthy":<bool>,"role":"<role>"<fields()>} and a newline, where
+/// `fields` renders the role's own ,"key":value pairs from state that is
+/// safe to read while the daemon runs.
+class DaemonTelemetry final {
+ public:
+  DaemonTelemetry(int port, const std::string& host,
+                  const std::function<void(int)>& on_port,
+                  const std::atomic<bool>& stopping, std::string role,
+                  std::function<std::string()> fields,
+                  const std::string& log_name);
+
+  /// One non-blocking sweep of the endpoint and the dump requests.
+  void poll();
+
+ private:
+  std::optional<StatusServer> server_;
 };
 
 }  // namespace spca

@@ -56,6 +56,14 @@ ProjectionSource ProjectionSource::very_sparse(std::uint64_t seed,
                           std::sqrt(static_cast<double>(window_n)));
 }
 
+ProjectionSource projection_source_for(ProjectionKind kind,
+                                       std::uint64_t seed, double sparsity,
+                                       std::size_t window) {
+  return kind == ProjectionKind::kVerySparse
+             ? ProjectionSource::very_sparse(seed, window)
+             : ProjectionSource(kind, seed, sparsity);
+}
+
 double ProjectionSource::value(std::int64_t t, std::size_t k) const noexcept {
   const std::uint64_t h0 = prf(seed_, t, k, 0);
   switch (kind_) {

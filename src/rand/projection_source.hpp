@@ -66,4 +66,13 @@ class ProjectionSource final {
   double sparsity_;
 };
 
+/// The projection source of a deployment's detector parameters: the very
+/// sparse scheme takes s = sqrt(window) (Li et al.), every other scheme the
+/// given `sparsity`. Every node that sketches builds its source here, so
+/// monitors, NOC-hosted sketches and the single-process detector agree.
+[[nodiscard]] ProjectionSource projection_source_for(ProjectionKind kind,
+                                                     std::uint64_t seed,
+                                                     double sparsity,
+                                                     std::size_t window);
+
 }  // namespace spca

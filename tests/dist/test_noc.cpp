@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "dist/noc_step.hpp"
+
 #include <cmath>
 
 #include "common/error.hpp"
@@ -92,22 +94,27 @@ class NocProtocolTest : public ::testing::Test {
   ProjectionSource source_{ProjectionKind::kGaussian, 31};
   LocalMonitor monitor_a_{1, {0, 1}, 16, 0.05, kRows, source_};
   LocalMonitor monitor_b_{2, {2, 3}, 16, 0.05, kRows, source_};
-  Noc noc_{kFlows, small_noc_config(kRows)};
+  NocStep step_{Noc(kFlows, small_noc_config(kRows)), {1, 2},
+                /*aggregated=*/false};
 
-  void feed_interval(std::int64_t t, const Vector& x) {
+  /// Closes interval t at both monitors and runs the NOC's step on it, with
+  /// the simulation's await policy: one pass of the monitors' mailboxes.
+  Detection step_interval(NocStep& step, std::int64_t t, const Vector& x) {
     monitor_a_.ingest_volume(0, x[0]);
     monitor_a_.ingest_volume(1, x[1]);
     monitor_b_.ingest_volume(2, x[2]);
     monitor_b_.ingest_volume(3, x[3]);
     monitor_a_.end_interval(t, net_);
     monitor_b_.end_interval(t, net_);
-  }
-
-  std::function<void()> pump() {
-    return [this] {
-      monitor_a_.handle_mail(net_);
-      monitor_b_.handle_mail(net_);
-    };
+    const auto verdict =
+        step.run(t, net_, [this](const std::function<bool()>& ready,
+                                 const char* /*what*/) {
+          monitor_a_.handle_mail(net_);
+          monitor_b_.handle_mail(net_);
+          return ready();
+        });
+    EXPECT_TRUE(verdict.has_value());
+    return verdict ? verdict->detection : Detection{};
   }
 
   static Vector quiet_row(std::int64_t t) {
@@ -123,29 +130,22 @@ class NocProtocolTest : public ::testing::Test {
 
 TEST_F(NocProtocolTest, FirstDetectPullsSketchesOnce) {
   for (std::int64_t t = 0; t < 16; ++t) {
-    feed_interval(t, quiet_row(t));
-    const Vector x = noc_.collect_volumes(t, net_);
-    if (t == 15) {
-      const Detection det = noc_.detect(t, x, {1, 2}, net_, pump());
-      EXPECT_TRUE(det.ready);
-      EXPECT_TRUE(det.model_refreshed);
-    }
+    const Detection det = step_interval(step_, t, quiet_row(t));
+    // The window is 16 intervals: the first decision is at t = 15.
+    EXPECT_EQ(det.ready, t == 15);
+    EXPECT_EQ(det.model_refreshed, t == 15);
   }
-  EXPECT_EQ(noc_.sketch_pulls(), 1u);
-  ASSERT_TRUE(noc_.model().has_value());
-  EXPECT_EQ(noc_.model()->dimensions(), kFlows);
+  EXPECT_EQ(step_.noc().sketch_pulls(), 1u);
+  ASSERT_TRUE(step_.noc().model().has_value());
+  EXPECT_EQ(step_.noc().model()->dimensions(), kFlows);
 }
 
 TEST_F(NocProtocolTest, QuietTrafficReusesStaleModel) {
   for (std::int64_t t = 0; t < 40; ++t) {
-    feed_interval(t, quiet_row(t));
-    const Vector x = noc_.collect_volumes(t, net_);
-    if (t >= 15) {
-      (void)noc_.detect(t, x, {1, 2}, net_, pump());
-    }
+    (void)step_interval(step_, t, quiet_row(t));
   }
   // One initial pull plus at most a few suspicion-driven refreshes.
-  EXPECT_LT(noc_.sketch_pulls(), 10u);
+  EXPECT_LT(step_.noc().sketch_pulls(), 10u);
 }
 
 TEST_F(NocProtocolTest, SpikeForcesRefreshAndAlarm) {
@@ -155,83 +155,81 @@ TEST_F(NocProtocolTest, SpikeForcesRefreshAndAlarm) {
       x[0] *= 8.0;
       x[2] *= 8.0;
     }
-    feed_interval(t, x);
-    const Vector assembled = noc_.collect_volumes(t, net_);
-    if (t >= 15) {
-      const Detection det = noc_.detect(t, assembled, {1, 2}, net_, pump());
-      if (t == 29) {
-        EXPECT_TRUE(det.model_refreshed);
-        EXPECT_TRUE(det.alarm);
-      }
+    const Detection det = step_interval(step_, t, x);
+    if (t == 29) {
+      EXPECT_TRUE(det.model_refreshed);
+      EXPECT_TRUE(det.alarm);
     }
   }
-  EXPECT_GE(noc_.alarms_sent(), 1u);
+  EXPECT_GE(step_.noc().alarms_sent(), 1u);
+}
+
+/// Runs one interval of a 2-flow NOC whose only child, monitor 1, reports
+/// both volumes and answers the sketch pull with `answer`. The step starts
+/// with its warm-up already counted and no model, so it pulls at once.
+void run_pull_answered_with(std::size_t rows, Message answer) {
+  SimNetwork net;
+  NocStep step(Noc(2, small_noc_config(rows)), {1}, /*aggregated=*/false,
+               /*observed=*/15);
+  Message report;
+  report.type = MessageType::kVolumeReport;
+  report.from = 1;
+  report.to = kNocId;
+  report.interval = 0;
+  report.ids = {0, 1};
+  report.values = {1.0, 2.0};
+  net.send(report);
+  answer.from = 1;
+  answer.to = kNocId;
+  answer.interval = 0;
+  (void)step.run(0, net, [&](const std::function<bool()>& ready,
+                             const char* /*what*/) {
+    if (!net.drain(1).empty()) net.send(answer);  // the pull's request
+    return ready();
+  });
 }
 
 TEST(NocFailureInjection, MalformedSketchResponseRejected) {
-  SimNetwork net;
-  Noc noc(2, small_noc_config(4));
   Message bad;
   bad.type = MessageType::kSketchResponse;
-  bad.from = 1;
-  bad.to = kNocId;
   bad.ids = {0, 1};
   bad.values = {1.0, 2.0, 3.0};  // wrong block size: needs 2 * (4 + 2)
-  net.send(bad);
-  EXPECT_THROW(noc.ingest_sketch_responses(net), ProtocolError);
+  EXPECT_THROW(run_pull_answered_with(4, bad), ProtocolError);
 }
 
 TEST(NocFailureInjection, SketchForUnknownFlowRejected) {
-  SimNetwork net;
-  Noc noc(2, small_noc_config(2));
   Message bad;
   bad.type = MessageType::kSketchResponse;
-  bad.from = 1;
-  bad.to = kNocId;
   bad.ids = {7};  // flow 7 does not exist in a 2-flow deployment
   bad.values = {0.0, 1.0, 0.5, 0.5};
-  net.send(bad);
-  EXPECT_THROW(noc.ingest_sketch_responses(net), ProtocolError);
+  EXPECT_THROW(run_pull_answered_with(2, bad), ProtocolError);
 }
 
 TEST(NocFailureInjection, RefitBeforeAllSketchesRejected) {
-  SimNetwork net;
-  Noc noc(2, small_noc_config(2));
   Message partial;
   partial.type = MessageType::kSketchResponse;
-  partial.from = 1;
-  partial.to = kNocId;
   partial.ids = {0};  // flow 1's sketch never arrives
   partial.values = {0.0, 4.0, 0.5, 0.5};
-  net.send(partial);
-  EXPECT_THROW(noc.ingest_sketch_responses(net), ProtocolError);
+  EXPECT_THROW(run_pull_answered_with(2, partial), ProtocolError);
 }
 
 TEST(NocFailureInjection, WrongMessageTypeInSketchPhaseRejected) {
-  SimNetwork net;
-  Noc noc(2, small_noc_config(2));
+  // An aggregate is no message a flat NOC routes.
   Message wrong;
-  wrong.type = MessageType::kVolumeReport;
-  wrong.from = 1;
-  wrong.to = kNocId;
+  wrong.type = MessageType::kAggregate;
   wrong.ids = {0, 1};
   wrong.values = {1.0, 2.0};
-  net.send(wrong);
-  EXPECT_THROW(noc.ingest_sketch_responses(net), ProtocolError);
+  EXPECT_THROW(run_pull_answered_with(2, wrong), ProtocolError);
 }
 
 TEST_F(NocProtocolTest, EagerModePullsEveryInterval) {
   NocConfig eager = small_noc_config(kRows);
   eager.lazy = false;
-  Noc noc(kFlows, eager);
+  NocStep step(Noc(kFlows, eager), {1, 2}, /*aggregated=*/false);
   for (std::int64_t t = 0; t < 24; ++t) {
-    feed_interval(t, quiet_row(t));
-    const Vector x = noc.collect_volumes(t, net_);
-    if (t >= 15) {
-      (void)noc.detect(t, x, {1, 2}, net_, pump());
-    }
+    (void)step_interval(step, t, quiet_row(t));
   }
-  EXPECT_EQ(noc.sketch_pulls(), 24u - 15u);
+  EXPECT_EQ(step.noc().sketch_pulls(), 24u - 15u);
 }
 
 }  // namespace

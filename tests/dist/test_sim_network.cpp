@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "net/scenario.hpp"
+
 namespace spca {
 namespace {
 
@@ -87,6 +89,26 @@ TEST(SimNetwork, MessagesSurviveWireRoundTrip) {
   EXPECT_EQ(delivered[0].ids, msg.ids);
   EXPECT_EQ(delivered[0].values, msg.values);
   EXPECT_EQ(delivered[0].interval, 77);
+}
+
+TEST(TransportParity, ExplicitSimNetworkMatchesDefaultTransport) {
+  // run_scenario_reference(nullptr) constructs its own SimNetwork; passing
+  // one explicitly must be indistinguishable.
+  NetScenarioConfig config;
+  config.topology = "diamond";
+  config.intervals = 48;
+  config.window = 16;
+  config.sketch_rows = 8;
+  config.monitors = 2;
+  config.seed = 7;
+  config.anomalies = 3;
+  const NetScenario scenario = build_scenario(config);
+  const ScenarioRun implicit = run_scenario_reference(scenario, nullptr);
+  SimNetwork network;
+  const ScenarioRun explicit_run = run_scenario_reference(scenario, &network);
+  EXPECT_EQ(explicit_run.alarm_intervals, implicit.alarm_intervals);
+  EXPECT_EQ(explicit_run.distances, implicit.distances);
+  EXPECT_TRUE(explicit_run.stats == implicit.stats);
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 
 #include "common/error.hpp"
 #include "dist/local_monitor.hpp"
-#include "dist/noc.hpp"
+#include "dist/noc_step.hpp"
 #include "dist/sim_network.hpp"
 #include "net/scenario.hpp"
 
@@ -28,29 +28,29 @@ NetScenarioConfig small_scenario() {
   return config;
 }
 
-ProjectionSource source_of(const SketchDetectorConfig& det) {
-  return det.projection == ProjectionKind::kVerySparse
-             ? ProjectionSource::very_sparse(det.seed, det.window)
-             : ProjectionSource(det.projection, det.seed, det.sparsity);
+/// The scenario's NOC, fresh.
+Noc fresh_noc(const NetScenario& scenario) {
+  return Noc(scenario.trace.num_flows(),
+             noc_config_from(scenario.detector, /*host_sketches=*/false));
+}
+
+/// The NOC's interval step over the scenario's monitors; `observed`
+/// intervals were already run (a restored NOC resumes mid-scenario).
+NocStep root_of(const NetScenario& scenario, Noc noc,
+                std::int64_t observed = 0) {
+  return NocStep(std::move(noc), scenario_monitor_ids(scenario.config.monitors),
+                 /*aggregated=*/false, static_cast<std::uint64_t>(observed));
 }
 
 std::vector<LocalMonitor> build_monitors(const NetScenario& scenario) {
-  const SketchDetectorConfig& det = scenario.detector;
-  const std::size_t m = scenario.trace.num_flows();
-  std::vector<LocalMonitor> monitors;
-  for (std::size_t k = 1; k <= scenario.config.monitors; ++k) {
-    monitors.emplace_back(
-        static_cast<NodeId>(k),
-        scenario_flows_of(m, scenario.config.monitors,
-                          static_cast<NodeId>(k)),
-        det.window, det.epsilon, det.sketch_rows, source_of(det));
-  }
-  return monitors;
+  return make_monitors(scenario.trace.num_flows(), scenario.config.monitors,
+                       scenario.detector);
 }
 
 /// One lock-step interval of the manual deployment; mirrors what
 /// DistributedDetector::observe does.
-std::optional<Detection> run_interval(const NetScenario& scenario, Noc& noc,
+std::optional<Detection> run_interval(const NetScenario& scenario,
+                                      NocStep& root,
                                       std::vector<LocalMonitor>& monitors,
                                       SimNetwork& net, std::int64_t t) {
   for (LocalMonitor& monitor : monitors) {
@@ -60,24 +60,20 @@ std::optional<Detection> run_interval(const NetScenario& scenario, Noc& noc,
     }
     monitor.end_interval(t, net);
   }
-  const Vector x = noc.collect_volumes(t, net);
-  if (t + 1 < static_cast<std::int64_t>(scenario.detector.window)) {
-    return std::nullopt;
-  }
-  const std::vector<NodeId> ids =
-      scenario_monitor_ids(scenario.config.monitors);
-  return noc.detect(t, x, ids, net, [&] {
-    for (LocalMonitor& monitor : monitors) monitor.handle_mail(net);
-  });
+  const auto verdict = root.run(
+      t, net, [&](const std::function<bool()>& ready, const char* /*what*/) {
+        for (LocalMonitor& monitor : monitors) monitor.handle_mail(net);
+        return ready();
+      });
+  if (!verdict || !verdict->detection.ready) return std::nullopt;
+  return verdict->detection;
 }
 
 TEST(NodeCheckpoint, MonitorRestoresMidWindowWithUnflushedVolumes) {
   const NetScenario scenario = build_scenario(small_scenario());
   const SketchDetectorConfig& det = scenario.detector;
-  const std::vector<FlowId> flows =
-      scenario_flows_of(scenario.trace.num_flows(), 2, 1);
-  LocalMonitor monitor(1, flows, det.window, det.epsilon, det.sketch_rows,
-                       source_of(det));
+  LocalMonitor monitor = make_monitor(1, scenario.trace.num_flows(), 2, det);
+  const std::vector<FlowId> flows = monitor.flows();
 
   // Flush 20 intervals, then leave half-ingested volumes in the counter —
   // the awkward mid-interval state a snapshot must carry faithfully.
@@ -132,8 +128,7 @@ TEST(NodeCheckpoint, DeploymentSnapshotMidRunContinuesBitIdentically) {
   std::vector<std::int64_t> ref_alarms;
   {
     SimNetwork net;
-    Noc noc(scenario.trace.num_flows(),
-            noc_config_from(scenario.detector, /*host_sketches=*/false));
+    NocStep noc = root_of(scenario, fresh_noc(scenario));
     std::vector<LocalMonitor> monitors = build_monitors(scenario);
     for (std::int64_t t = 0; t < intervals; ++t) {
       const auto det = run_interval(scenario, noc, monitors, net, t);
@@ -149,8 +144,7 @@ TEST(NodeCheckpoint, DeploymentSnapshotMidRunContinuesBitIdentically) {
   std::vector<std::int64_t> alarms;
   {
     SimNetwork net;
-    Noc noc(scenario.trace.num_flows(),
-            noc_config_from(scenario.detector, /*host_sketches=*/false));
+    NocStep noc = root_of(scenario, fresh_noc(scenario));
     std::vector<LocalMonitor> monitors = build_monitors(scenario);
     for (std::int64_t t = 0; t < snap_at; ++t) {
       const auto det = run_interval(scenario, noc, monitors, net, t);
@@ -159,8 +153,9 @@ TEST(NodeCheckpoint, DeploymentSnapshotMidRunContinuesBitIdentically) {
       if (det->alarm) alarms.push_back(t);
     }
 
-    Noc restored_noc = Noc::restore_state(noc.save_state());
-    EXPECT_EQ(restored_noc.sketch_pulls(), noc.sketch_pulls());
+    NocStep restored_noc = root_of(
+        scenario, Noc::restore_state(noc.noc().save_state()), snap_at);
+    EXPECT_EQ(restored_noc.noc().sketch_pulls(), noc.noc().sketch_pulls());
     std::vector<LocalMonitor> restored_monitors;
     for (const LocalMonitor& monitor : monitors) {
       restored_monitors.push_back(
@@ -201,8 +196,7 @@ TEST_P(NodeCheckpointBackend, DeploymentSnapshotContinuesBitIdentically) {
   std::vector<std::int64_t> ref_alarms;
   {
     SimNetwork net;
-    Noc noc(scenario.trace.num_flows(),
-            noc_config_from(scenario.detector, /*host_sketches=*/false));
+    NocStep noc = root_of(scenario, fresh_noc(scenario));
     std::vector<LocalMonitor> monitors = build_monitors(scenario);
     for (std::int64_t t = 0; t < intervals; ++t) {
       const auto det = run_interval(scenario, noc, monitors, net, t);
@@ -216,8 +210,7 @@ TEST_P(NodeCheckpointBackend, DeploymentSnapshotContinuesBitIdentically) {
   std::vector<std::int64_t> alarms;
   {
     SimNetwork net;
-    Noc noc(scenario.trace.num_flows(),
-            noc_config_from(scenario.detector, /*host_sketches=*/false));
+    NocStep noc = root_of(scenario, fresh_noc(scenario));
     std::vector<LocalMonitor> monitors = build_monitors(scenario);
     for (std::int64_t t = 0; t < snap_at; ++t) {
       const auto det = run_interval(scenario, noc, monitors, net, t);
@@ -226,8 +219,10 @@ TEST_P(NodeCheckpointBackend, DeploymentSnapshotContinuesBitIdentically) {
       if (det->alarm) alarms.push_back(t);
     }
 
-    Noc restored_noc = Noc::restore_state(noc.save_state(), GetParam());
-    EXPECT_EQ(restored_noc.backend().kind(), GetParam());
+    NocStep restored_noc = root_of(
+        scenario, Noc::restore_state(noc.noc().save_state(), GetParam()),
+        snap_at);
+    EXPECT_EQ(restored_noc.noc().backend().kind(), GetParam());
     std::vector<LocalMonitor> restored_monitors;
     for (const LocalMonitor& monitor : monitors) {
       restored_monitors.push_back(
@@ -267,13 +262,12 @@ TEST(NodeCheckpoint, CrossBackendRestoreIsRejected) {
   scenario_config.model_backend = "warm";
   const NetScenario scenario = build_scenario(scenario_config);
   SimNetwork net;
-  Noc noc(scenario.trace.num_flows(),
-          noc_config_from(scenario.detector, /*host_sketches=*/false));
+  NocStep noc = root_of(scenario, fresh_noc(scenario));
   std::vector<LocalMonitor> monitors = build_monitors(scenario);
   for (std::int64_t t = 0; t < 20; ++t) {
     (void)run_interval(scenario, noc, monitors, net, t);
   }
-  const std::vector<std::byte> blob = noc.save_state();
+  const std::vector<std::byte> blob = noc.noc().save_state();
 
   // Matching expectation restores fine; every other kind is rejected.
   EXPECT_NO_THROW((void)Noc::restore_state(blob, ModelBackendKind::kWarm));
@@ -289,10 +283,8 @@ TEST(NodeCheckpoint, CrossBackendRestoreIsRejected) {
 TEST(NodeCheckpoint, MonitorBlobCorruptionIsRejectedCleanly) {
   const NetScenario scenario = build_scenario(small_scenario());
   const SketchDetectorConfig& det = scenario.detector;
-  const std::vector<FlowId> flows =
-      scenario_flows_of(scenario.trace.num_flows(), 2, 1);
-  LocalMonitor monitor(1, flows, det.window, det.epsilon, det.sketch_rows,
-                       source_of(det));
+  LocalMonitor monitor = make_monitor(1, scenario.trace.num_flows(), 2, det);
+  const std::vector<FlowId> flows = monitor.flows();
   for (std::int64_t t = 0; t < 8; ++t) {
     for (const FlowId flow : flows) monitor.ingest_volume(flow, 10.0 + t);
     monitor.absorb_interval(t);
@@ -331,14 +323,13 @@ TEST(NodeCheckpoint, MonitorBlobCorruptionIsRejectedCleanly) {
 TEST(NodeCheckpoint, NocBlobCorruptionIsRejectedCleanly) {
   const NetScenario scenario = build_scenario(small_scenario());
   SimNetwork net;
-  Noc noc(scenario.trace.num_flows(),
-          noc_config_from(scenario.detector, /*host_sketches=*/false));
+  NocStep noc = root_of(scenario, fresh_noc(scenario));
   std::vector<LocalMonitor> monitors = build_monitors(scenario);
   for (std::int64_t t = 0; t < 20; ++t) {
     (void)run_interval(scenario, noc, monitors, net, t);
   }
-  ASSERT_TRUE(noc.model().has_value());
-  const std::vector<std::byte> blob = noc.save_state();
+  ASSERT_TRUE(noc.noc().model().has_value());
+  const std::vector<std::byte> blob = noc.noc().save_state();
 
   std::vector<std::byte> bad_magic = blob;
   bad_magic[0] = static_cast<std::byte>(0xFF);

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -44,22 +43,23 @@ TEST(RegionalNoc, CollectsTheShardAndMergesOnceComplete) {
   EXPECT_EQ(region.id(), region_node_id(0));
 
   sim.send(report(2, 5));
-  region.pump(sim);
-  EXPECT_EQ(region.reports_ready(), std::nullopt);
+  EXPECT_FALSE(region.relay(sim));
+  EXPECT_FALSE(sim.has_mail(kNocId));
 
   sim.send(report(1, 5));
   sim.send(report(3, 5));
-  region.pump(sim);
-  ASSERT_EQ(region.reports_ready(), std::optional<std::int64_t>(5));
-
-  const Message merged = region.take_merged_reports(kNocId);
+  EXPECT_TRUE(region.relay(sim));
+  const std::vector<Message> up = sim.drain(kNocId);
+  ASSERT_EQ(up.size(), 1u);
+  const Message& merged = up[0];
   EXPECT_EQ(merged.type, MessageType::kAggregate);
   EXPECT_EQ(merged.from, region.id());
   EXPECT_EQ(merged.interval, 5);
   const std::vector<std::uint32_t> expected_ids = {10, 20, 30};
   EXPECT_EQ(merged.ids, expected_ids);
-  // Taking clears the store for the next interval.
-  EXPECT_EQ(region.reports_ready(), std::nullopt);
+  // Forwarding clears the store for the next interval.
+  EXPECT_FALSE(region.relay(sim));
+  EXPECT_FALSE(sim.has_mail(kNocId));
   EXPECT_EQ(region.merges(), 1u);
 }
 
@@ -71,32 +71,53 @@ TEST(RegionalNoc, MixedIntervalsAreNotReadyAndLastWins) {
   // transient during the advance relay, so not ready.
   sim.send(report(1, 6));
   sim.send(report(2, 5));
-  region.pump(sim);
-  EXPECT_EQ(region.reports_ready(), std::nullopt);
+  EXPECT_FALSE(region.relay(sim));
+  EXPECT_FALSE(sim.has_mail(kNocId));
 
   // A reconnecting monitor re-sends its current interval; last-wins brings
   // the shard back into agreement.
   sim.send(report(2, 6));
-  region.pump(sim);
-  EXPECT_EQ(region.reports_ready(), std::optional<std::int64_t>(6));
+  EXPECT_TRUE(region.relay(sim));
+  const std::vector<Message> up = sim.drain(kNocId);
+  ASSERT_EQ(up.size(), 1u);
+  EXPECT_EQ(up[0].interval, 6);
+}
+
+TEST(RegionalNoc, ForwardsEachIntervalsReportsOnce) {
+  // A node restarted at interval 6 drops a complete merge of interval 5
+  // (its monitors re-sent it on reconnect, and the root already has it),
+  // forwards interval 6 once, and drops a later duplicate of it.
+  SimNetwork sim;
+  RegionalNoc region(0, {1, 2}, kRows, /*next_interval=*/6);
+  sim.send(report(1, 5));
+  sim.send(report(2, 5));
+  EXPECT_TRUE(region.relay(sim));
+  EXPECT_FALSE(sim.has_mail(kNocId));
+
+  sim.send(report(1, 6));
+  sim.send(report(2, 6));
+  EXPECT_TRUE(region.relay(sim));
+  EXPECT_EQ(sim.drain(kNocId).size(), 1u);
+
+  sim.send(report(1, 6));
+  sim.send(report(2, 6));
+  EXPECT_TRUE(region.relay(sim));
+  EXPECT_FALSE(sim.has_mail(kNocId));
+  EXPECT_EQ(region.merges(), 3u);
 }
 
 TEST(RegionalNoc, SketchPhaseRoundTrip) {
   SimNetwork sim;
   RegionalNoc region(1, {3, 4}, kRows);
 
-  // Root request arrives, is queued, and fans out to the shard.
+  // A root request fans out to the shard in the same pass.
   Message request;
   request.type = MessageType::kSketchRequest;
   request.from = kNocId;
   request.to = region.id();
   request.interval = 9;
   sim.send(request);
-  region.pump(sim);
-  ASSERT_EQ(region.take_sketch_request(), std::optional<std::int64_t>(9));
-  EXPECT_EQ(region.take_sketch_request(), std::nullopt);
-
-  region.forward_sketch_request(9, sim);
+  EXPECT_TRUE(region.relay(sim));
   for (const NodeId monitor : {3u, 4u}) {
     const std::vector<Message> mail = sim.drain(monitor);
     ASSERT_EQ(mail.size(), 1u);
@@ -104,12 +125,14 @@ TEST(RegionalNoc, SketchPhaseRoundTrip) {
     EXPECT_EQ(mail[0].from, region.id());
     EXPECT_EQ(mail[0].interval, 9);
   }
+  EXPECT_FALSE(region.relay(sim));
 
   sim.send(response(4, 9, region.id()));
   sim.send(response(3, 9, region.id()));
-  region.pump(sim);
-  ASSERT_EQ(region.responses_ready(), std::optional<std::int64_t>(9));
-  const Message merged = region.take_merged_responses(kNocId);
+  EXPECT_TRUE(region.relay(sim));
+  const std::vector<Message> up = sim.drain(kNocId);
+  ASSERT_EQ(up.size(), 1u);
+  const Message& merged = up[0];
   EXPECT_EQ(merged.values.size(), merged.ids.size() * (kRows + 2));
   EXPECT_TRUE(aggregate_shape_is(merged, MessageType::kSketchResponse,
                                  kRows));
@@ -120,17 +143,17 @@ TEST(RegionalNoc, RejectsForeignSendersAndMalformedShapes) {
   RegionalNoc region(0, {1, 2}, kRows);
 
   sim.send(report(7, 0));  // not in the shard
-  EXPECT_THROW(region.pump(sim), ProtocolError);
+  EXPECT_THROW(region.relay(sim), ProtocolError);
 
   Message bad = report(1, 0);
   bad.values.push_back(0.0);  // shape broken
   sim.send(bad);
-  EXPECT_THROW(region.pump(sim), ProtocolError);
+  EXPECT_THROW(region.relay(sim), ProtocolError);
 
   Message agg = report(1, 0);
   agg.type = MessageType::kAggregate;  // a type the tier never receives
   sim.send(agg);
-  EXPECT_THROW(region.pump(sim), ProtocolError);
+  EXPECT_THROW(region.relay(sim), ProtocolError);
 }
 
 TEST(RegionalNoc, RejectsDegenerateShards) {

@@ -82,10 +82,29 @@ void expect_matches_reference(const ScenarioRun& run,
   }
 }
 
-TEST(Daemons, LoopbackDeploymentMatchesSimReferenceBitForBit) {
-  const NetScenarioConfig config = small_scenario();
+/// A longer diamond run with a wider window than small_scenario().
+NetScenarioConfig parity_scenario() {
+  NetScenarioConfig config = small_scenario();
+  config.intervals = 48;
+  config.window = 16;
+  return config;
+}
+
+/// A deployment run over loopback TCP next to its SimNetwork reference.
+/// `stats` is the deployment-wide wire accounting: the NOC's sends plus
+/// every monitor's sends.
+struct LoopbackRun {
+  ScenarioRun reference;
+  ScenarioRun run;
+  NetworkStats stats;
+};
+
+/// Runs `config` as a NocDaemon plus one MonitorDaemon thread per monitor
+/// over loopback TCP, and its SimNetwork reference in process.
+LoopbackRun run_loopback(const NetScenarioConfig& config) {
   const NetScenario scenario = build_scenario(config);
-  const ScenarioRun reference = run_scenario_reference(scenario);
+  LoopbackRun out;
+  out.reference = run_scenario_reference(scenario);
 
   NocDaemonConfig noc_config;
   noc_config.scenario = config;
@@ -105,24 +124,71 @@ TEST(Daemons, LoopbackDeploymentMatchesSimReferenceBitForBit) {
                          std::ref(results[k]), std::ref(errors[k]));
   }
 
-  const ScenarioRun run = noc.run();
+  out.run = noc.run();
   for (auto& t : threads) t.join();
   for (auto& error : errors) {
     if (error) std::rethrow_exception(error);
   }
 
-  expect_matches_reference(run, reference);
   EXPECT_EQ(noc.reconnects(), 0u);
-
-  // The deployment-wide wire accounting (NOC sends + every monitor's sends)
-  // equals the single-transport reference byte for byte.
-  NetworkStats total = run.stats;
+  out.stats = out.run.stats;
   for (const auto& result : results) {
     EXPECT_EQ(result.intervals_reported,
               static_cast<std::int64_t>(config.intervals));
-    total += result.stats;
+    out.stats += result.stats;
   }
-  EXPECT_TRUE(total == reference.stats);
+  return out;
+}
+
+/// Checks a loopback run against its reference: exact distances and
+/// alarms, and the wire accounting byte for byte.
+void expect_loopback_matches_reference(const NetScenarioConfig& config) {
+  SCOPED_TRACE("seed " + std::to_string(config.seed) + ", monitors " +
+               std::to_string(config.monitors) + ", intervals " +
+               std::to_string(config.intervals));
+  const LoopbackRun loopback = run_loopback(config);
+  ASSERT_FALSE(loopback.reference.distances.empty());
+  expect_matches_reference(loopback.run, loopback.reference);
+  EXPECT_GT(loopback.reference.stats.messages, 0u);
+  EXPECT_TRUE(loopback.stats == loopback.reference.stats);
+}
+
+TEST(Daemons, LoopbackDeploymentMatchesSimReferenceBitForBit) {
+  expect_loopback_matches_reference(small_scenario());
+}
+
+// The detection trajectory of a deployment is invariant under the
+// transport: in-process queues (SimNetwork) versus the daemons' real
+// loopback TCP sockets, bit for bit.
+TEST(TransportParity, TrajectoriesAreBitIdentical) {
+  const LoopbackRun loopback = run_loopback(parity_scenario());
+  ASSERT_FALSE(loopback.reference.distances.empty());
+  // Exact equality, not approximate: the bytes crossing the loopback stack
+  // must decode to the same doubles the simulation handed over directly.
+  expect_matches_reference(loopback.run, loopback.reference);
+}
+
+TEST(TransportParity, NetworkStatsMatchByteForByte) {
+  const LoopbackRun loopback = run_loopback(parity_scenario());
+  const NetworkStats& sim = loopback.reference.stats;
+  EXPECT_GT(sim.messages, 0u);
+  EXPECT_TRUE(loopback.stats == sim);
+  for (std::size_t i = 1; i <= 4; ++i) {
+    EXPECT_EQ(loopback.stats.messages_by_type[i], sim.messages_by_type[i]);
+    EXPECT_EQ(loopback.stats.bytes_by_type[i], sim.bytes_by_type[i]);
+  }
+}
+
+TEST(TransportParity, HoldsAcrossSeedsAndMonitorCounts) {
+  for (const std::uint64_t seed : {11ull, 23ull}) {
+    for (const std::size_t monitors : {1u, 4u}) {
+      NetScenarioConfig config = parity_scenario();
+      config.seed = seed;
+      config.monitors = monitors;
+      config.anomalies = 2;
+      expect_loopback_matches_reference(config);
+    }
+  }
 }
 
 TEST(Daemons, MonitorKillAndRestartSurvivesViaReconnect) {

@@ -272,6 +272,11 @@ TEST(MetricsRegistry, ConcurrentWritersAndRenderingReaderAreRaceFree) {
   // exposition format — the documented "mutex guards registration and
   // rendering only" contract must hold under real contention.
   MetricsRegistry registry;
+  // Registered before any thread starts, so the reader never renders an
+  // empty registry (which renders "" in the Prometheus and text formats).
+  (void)registry.counter("stress.count");
+  (void)registry.gauge("stress.level");
+  (void)registry.histogram("stress.seconds");
   std::atomic<bool> stop{false};
   constexpr int kWriters = 4;
   constexpr int kPerThread = 5000;
@@ -294,8 +299,10 @@ TEST(MetricsRegistry, ConcurrentWritersAndRenderingReaderAreRaceFree) {
     });
   }
   std::thread reader([&registry, &stop] {
+    // do-while: at least one render even when the writers finish before
+    // the reader is first scheduled.
     std::size_t renders = 0;
-    while (!stop.load(std::memory_order_relaxed)) {
+    do {
       const std::string json = registry.render_json();
       const std::string prom = registry.render_prometheus();
       const std::string text = registry.render_text();
@@ -303,7 +310,7 @@ TEST(MetricsRegistry, ConcurrentWritersAndRenderingReaderAreRaceFree) {
       EXPECT_FALSE(prom.empty());
       EXPECT_FALSE(text.empty());
       ++renders;
-    }
+    } while (!stop.load(std::memory_order_relaxed));
     EXPECT_GT(renders, 0u);
   });
   for (auto& t : writers) t.join();
