@@ -21,7 +21,7 @@
 #include "common/cli.hpp"
 #include "common/error.hpp"
 #include "fault/chaos.hpp"
-#include "net/net_flags.hpp"
+#include "net/daemon_shell.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/report.hpp"
 #include "obs/status_server.hpp"

@@ -9,27 +9,12 @@
 // resumes from the newest valid snapshot instead of replaying the trace.
 // Without snapshots, --first-interval=<t> rebuilds the state locally and
 // rejoins the running deployment at interval t.
-#include <csignal>
 #include <iostream>
 
 #include "common/cli.hpp"
-#include "common/error.hpp"
 #include "dist/aggregate.hpp"
+#include "net/daemon_shell.hpp"
 #include "net/monitor_daemon.hpp"
-#include "net/net_flags.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/report.hpp"
-#include "par/thread_pool.hpp"
-
-namespace {
-
-spca::MonitorDaemon* g_daemon = nullptr;
-
-void handle_signal(int) {
-  if (g_daemon != nullptr) g_daemon->request_stop();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace spca;
@@ -49,18 +34,9 @@ int main(int argc, char** argv) {
   flags.define("ingest-records", "",
                "stream interval volumes from this flow-record file (binary "
                "or CSV) instead of the synthetic scenario trace");
-  define_daemon_flags(flags);
-  define_transport_flags(flags);
-  define_scenario_flags(flags);
-  define_threads_flag(flags);
-  define_observability_flags(flags);
-  try {
-    if (!flags.parse(argc, argv)) return 0;
-    (void)configure_threads_from_flag(flags);
-    configure_observability(flags);
-
+  const auto serve = [&flags] {
     MonitorDaemonConfig config;
-    config.scenario = scenario_from_flags(flags);
+    read_daemon_flags(flags, config);
     config.monitor_id = static_cast<NodeId>(flags.integer("monitor-id"));
     config.noc_host = flags.str("connect");
     config.noc_port = static_cast<std::uint16_t>(flags.integer("port"));
@@ -73,13 +49,7 @@ int main(int argc, char** argv) {
     config.last_interval = flags.integer("last-interval");
     config.ingest_records = flags.str("ingest-records");
     config.retry = retry_policy_from_flags(flags);
-    config.io_timeout = io_timeout_from_flags(flags);
-    read_daemon_flags(flags, config);
     MonitorDaemon daemon(config);
-    g_daemon = &daemon;
-    (void)std::signal(SIGTERM, handle_signal);
-    (void)std::signal(SIGINT, handle_signal);
-
     const MonitorDaemonResult result = daemon.run();
     std::cout << "monitord " << config.monitor_id << ": "
               << result.intervals_reported << " intervals, "
@@ -95,12 +65,6 @@ int main(int argc, char** argv) {
       std::cout << "monitord " << config.monitor_id << ": final checkpoint "
                 << result.final_checkpoint_path << "\n";
     }
-    export_observability(flags);
-    return 0;
-  } catch (const std::exception& e) {
-    std::cerr << "spca_monitord: " << e.what() << "\n";
-    FlightRecorder::global().note("fatal_error", -1, e.what());
-    (void)FlightRecorder::global().dump("error");
-    return 1;
-  }
+  };
+  return daemon_main(argc, argv, flags, "spca_monitord", serve);
 }

@@ -78,16 +78,6 @@ void BM_RandRangeFinder(benchmark::State& state) {
 }
 BENCHMARK(BM_RandRangeFinder)->Arg(41)->Arg(81)->Arg(121);
 
-void BM_EigenTopK(benchmark::State& state) {
-  // Only the r leading components: orthogonal iteration at k = 6.
-  const auto m = static_cast<std::size_t>(state.range(0));
-  const Matrix g = gram(random_matrix(2 * m, m, 3));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(eigen_top_k(g, 6, 1e-8));
-  }
-}
-BENCHMARK(BM_EigenTopK)->Arg(41)->Arg(81)->Arg(121);
-
 void BM_SvdSketchShape(benchmark::State& state) {
   // The NOC decomposition: l x m sketch matrices.
   const auto l = static_cast<std::size_t>(state.range(0));

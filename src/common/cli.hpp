@@ -63,7 +63,7 @@ void define_threads_flag(CliFlags& flags);
 /// Defines the transport tuning flags every socket daemon shares:
 /// --connect-attempts, --connect-timeout-ms, --backoff-initial-ms,
 /// --backoff-max-ms (outbound dial retry policy) and --io-timeout-ms
-/// (read/write deadline on established connections). net/net_flags.hpp's
+/// (read/write deadline on established connections). net/daemon_shell.hpp's
 /// retry_policy_from_flags / io_timeout_from_flags consume them; chaos tests
 /// use them to avoid hard-coded multi-second waits.
 void define_transport_flags(CliFlags& flags);

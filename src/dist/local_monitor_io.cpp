@@ -14,8 +14,8 @@
 //
 // This is everything a monitor owns: a restore answers the next sketch
 // request bit-identically to a monitor that never died. The surrounding
-// file-level CRC/versioning lives in fault/checkpoint (CheckpointStore);
-// this blob only has to be internally consistent.
+// file-level CRC/versioning lives in CheckpointStore
+// (common/checkpoint_store); this blob only has to be internally consistent.
 #include <utility>
 
 #include "common/serialize.hpp"

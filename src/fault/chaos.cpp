@@ -136,18 +136,21 @@ ChaosResult run_chaos(const ChaosConfig& config) {
     const std::optional<std::int64_t> noc_kill =
         kill_of(config.faults, kNocId);
 
-    NocDaemonConfig nc;
-    nc.scenario = config.scenario;
-    nc.regions = config.regions;
-    nc.interval_deadline = config.interval_deadline;
-    nc.io_timeout = config.io_timeout;
-    // Every tier is fault-wrapped, including the region -> root hop: the
-    // dedup key's payload-width element tells the volume-, score-, and
-    // sketch-shaped kAggregates of one interval apart, so duplicates on
-    // that hop are removed without swallowing a legitimate second phase.
-    nc.wrap_transport = [&](Transport& inner) {
+    // What every role shares. Every tier is fault-wrapped, including the
+    // region -> root hop: the dedup key's payload-width element tells the
+    // volume-, score-, and sketch-shaped kAggregates of one interval apart,
+    // so duplicates on that hop are removed without swallowing a legitimate
+    // second phase.
+    DaemonConfig base;
+    base.scenario = config.scenario;
+    base.io_timeout = config.io_timeout;
+    base.wrap_transport = [&](Transport& inner) {
       return std::make_unique<FaultyTransport>(inner, config.faults, &acc);
     };
+
+    NocDaemonConfig nc{base};
+    nc.regions = config.regions;
+    nc.interval_deadline = config.interval_deadline;
     if (noc_kill) {
       // First incarnation: checkpoints and stops after intervals < kill; its
       // shutdown snapshot seeds the second incarnation on the same port.
@@ -176,6 +179,14 @@ ChaosResult run_chaos(const ChaosConfig& config) {
     std::atomic<std::uint64_t> resets{0};
     std::atomic<std::uint64_t> reconnects{0};
     std::atomic<bool> all_restored{true};
+    // Bookkeeping of one performed kill.
+    const auto killed = [&](const std::string& node, std::int64_t t) {
+      kills.fetch_add(1, std::memory_order_relaxed);
+      kills_metric.inc();
+      log_info("chaos: killed ", node, " at interval ", t);
+      FlightRecorder::global().note(
+          "kill", t, node + (config.crash_kills ? " (crash)" : " (clean)"));
+    };
     const std::size_t num_monitors = config.scenario.monitors;
 
     // The hierarchical tier, started before the monitors so the shard
@@ -183,20 +194,17 @@ ChaosResult run_chaos(const ChaosConfig& config) {
     // one port; the second resumes from the SPCR snapshot.
     std::vector<std::unique_ptr<RegionalDaemon>> tier;
     std::vector<std::uint16_t> region_ports(config.regions, port);
-    std::vector<std::exception_ptr> region_errors(config.regions);
-    std::vector<std::thread> region_threads;
+    // One thread per monitor and per region; errors[i] is monitor i + 1's,
+    // errors[num_monitors + r] region r's.
+    std::vector<std::exception_ptr> errors(num_monitors + config.regions);
+    std::vector<std::thread> threads;
     const auto region_config = [&](std::size_t r) {
-      RegionalDaemonConfig rc;
-      rc.scenario = config.scenario;
+      RegionalDaemonConfig rc{base};
       rc.regions = config.regions;
       rc.region = r;
       rc.root_port = port;
       rc.retry = config.retry;
-      rc.io_timeout = config.io_timeout;
       rc.interval_deadline = config.interval_deadline;
-      rc.wrap_transport = [&](Transport& inner) {
-        return std::make_unique<FaultyTransport>(inner, config.faults, &acc);
-      };
       return rc;
     };
     for (std::size_t r = 0; r < config.regions; ++r) {
@@ -216,24 +224,17 @@ ChaosResult run_chaos(const ChaosConfig& config) {
     for (std::size_t r = 0; r < config.regions; ++r) {
       const std::optional<std::int64_t> kill =
           kill_of(config.faults, region_node_id(r));
-      region_threads.emplace_back([&, r, kill] {
+      threads.emplace_back([&, r, kill] {
         try {
           (void)tier[r]->run();
           if (kill) {
             // Tear the first incarnation down (freeing its listen port),
             // then restart on the same port. The shard's monitors redial
             // with backoff and re-send their current interval.
-            const std::uint16_t region_port = region_ports[r];
             tier[r].reset();
-            kills.fetch_add(1, std::memory_order_relaxed);
-            kills_metric.inc();
-            log_info("chaos: killed region ", r, " at interval ", *kill);
-            FlightRecorder::global().note(
-                "kill", *kill,
-                "region " + std::to_string(r) +
-                    (config.crash_kills ? " (crash)" : " (clean)"));
+            killed("region " + std::to_string(r), *kill);
             RegionalDaemonConfig rc = region_config(r);
-            rc.listen_port = region_port;
+            rc.listen_port = region_ports[r];
             rc.checkpoint_dir = config.checkpoint_dir;
             rc.checkpoint_every = config.checkpoint_every;
             RegionalDaemon second(rc);
@@ -244,15 +245,12 @@ ChaosResult run_chaos(const ChaosConfig& config) {
             }
           }
         } catch (...) {
-          region_errors[r] = std::current_exception();
+          errors[num_monitors + r] = std::current_exception();
           stop_noc();
         }
       });
     }
 
-    std::vector<std::exception_ptr> errors(num_monitors);
-    std::vector<std::thread> threads;
-    threads.reserve(num_monitors);
     for (std::size_t i = 0; i < num_monitors; ++i) {
       const NodeId id = static_cast<NodeId>(i + 1);
       threads.emplace_back([&, id, i] {
@@ -263,20 +261,14 @@ ChaosResult run_chaos(const ChaosConfig& config) {
               hier ? region_node_id(region_of_monitor(
                          num_monitors, config.regions, id))
                    : kNocId;
-          MonitorDaemonConfig mc;
-          mc.scenario = config.scenario;
+          MonitorDaemonConfig mc{base};
           mc.monitor_id = id;
           mc.noc_port =
               hier ? region_ports[region_index(upstream)] : port;
           mc.upstream_id = upstream;
           mc.retry = config.retry;
-          mc.io_timeout = config.io_timeout;
           mc.checkpoint_dir = config.checkpoint_dir;
           mc.checkpoint_every = config.checkpoint_every;
-          mc.wrap_transport = [&](Transport& inner) {
-            return std::make_unique<FaultyTransport>(inner, config.faults,
-                                                     &acc);
-          };
           mc.after_advance = [&, id, upstream](std::int64_t t,
                                                TcpTransport& tcp) {
             if (!reset_at(config.faults, id, t)) return;
@@ -296,30 +288,19 @@ ChaosResult run_chaos(const ChaosConfig& config) {
             // crash kill leaves only the periodic snapshots behind.
             mc.last_interval = *kill;
             mc.final_checkpoint = !config.crash_kills;
-            const MonitorDaemonResult first = MonitorDaemon(mc).run();
-            reconnects.fetch_add(first.reconnects,
+            reconnects.fetch_add(MonitorDaemon(mc).run().reconnects,
                                  std::memory_order_relaxed);
-            kills.fetch_add(1, std::memory_order_relaxed);
-            kills_metric.inc();
-            log_info("chaos: killed monitor ", id, " at interval ", *kill);
-            FlightRecorder::global().note(
-                "kill", *kill,
-                "monitor " + std::to_string(id) +
-                    (config.crash_kills ? " (crash)" : " (clean)"));
-            // Second incarnation: recover from the checkpoint and rejoin.
-            MonitorDaemonConfig rc = mc;
-            rc.last_interval = -1;
-            rc.final_checkpoint = true;
-            rc.first_interval = config.crash_kills ? *kill : kAutoInterval;
-            const MonitorDaemonResult second = MonitorDaemon(rc).run();
-            reconnects.fetch_add(second.reconnects,
-                                 std::memory_order_relaxed);
-            if (!second.restored_from_checkpoint) {
-              all_restored.store(false, std::memory_order_relaxed);
-            }
-          } else {
-            const MonitorDaemonResult r = MonitorDaemon(mc).run();
-            reconnects.fetch_add(r.reconnects, std::memory_order_relaxed);
+            killed("monitor " + std::to_string(id), *kill);
+            // The second incarnation recovers from the checkpoint and
+            // rejoins.
+            mc.last_interval = -1;
+            mc.final_checkpoint = true;
+            mc.first_interval = config.crash_kills ? *kill : kAutoInterval;
+          }
+          const MonitorDaemonResult r = MonitorDaemon(mc).run();
+          reconnects.fetch_add(r.reconnects, std::memory_order_relaxed);
+          if (kill && !r.restored_from_checkpoint) {
+            all_restored.store(false, std::memory_order_relaxed);
           }
         } catch (...) {
           errors[i] = std::current_exception();
@@ -339,10 +320,7 @@ ChaosResult run_chaos(const ChaosConfig& config) {
         // report once the link comes back.
         swap_active_noc(nullptr);
         nocd.reset();
-        kills.fetch_add(1, std::memory_order_relaxed);
-        kills_metric.inc();
-        log_info("chaos: killed NOC at interval ", *noc_kill);
-        FlightRecorder::global().note("kill", *noc_kill, "noc (clean)");
+        killed("noc", *noc_kill);  // NOC kills are always clean
         NocDaemonConfig rc = nc;
         rc.listen_port = port;
         rc.last_interval = -1;
@@ -363,11 +341,7 @@ ChaosResult run_chaos(const ChaosConfig& config) {
       stop_noc();
     }
     for (std::thread& t : threads) t.join();
-    for (std::thread& t : region_threads) t.join();
     for (const std::exception_ptr& e : errors) {
-      if (e) std::rethrow_exception(e);
-    }
-    for (const std::exception_ptr& e : region_errors) {
       if (e) std::rethrow_exception(e);
     }
     if (noc_error) std::rethrow_exception(noc_error);

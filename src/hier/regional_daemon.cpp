@@ -4,21 +4,16 @@
 #include <sstream>
 #include <vector>
 
-#include "common/checkpoint_store.hpp"
 #include "common/contracts.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "common/serialize.hpp"
 #include "hier/regional_noc.hpp"
 #include "net/frame.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/status_server.hpp"
 
 namespace spca {
 
 namespace {
-
-constexpr std::chrono::milliseconds kWaitSlice{100};
 
 constexpr std::uint32_t kRegionSnapshotMagic = 0x53504352;  // 'SPCR'
 constexpr std::uint32_t kRegionSnapshotVersion = 1;
@@ -75,8 +70,6 @@ RegionSnapshot decode_region_snapshot(const std::vector<std::byte>& blob) {
 RegionalDaemon::RegionalDaemon(RegionalDaemonConfig config)
     : config_(std::move(config)), transport_(region_tcp_config(config_)) {}
 
-RegionalDaemon::~RegionalDaemon() { transport_.stop(); }
-
 void RegionalDaemon::start() {
   SPCA_EXPECTS(!started_);
   SPCA_EXPECTS(config_.region < config_.regions);
@@ -89,87 +82,45 @@ void RegionalDaemon::start() {
            config_.root_port);
 }
 
-std::uint16_t RegionalDaemon::bound_port() const noexcept {
-  return transport_.listen_port();
-}
-
 RegionalDaemonResult RegionalDaemon::run() {
   SPCA_EXPECTS(started_);
-  SPCA_EXPECTS(config_.checkpoint_every >= 0);
   const std::vector<NodeId> shard = region_monitor_ids(
       config_.scenario.monitors, config_.regions, config_.region);
+  const std::string index = std::to_string(config_.region);
+  DaemonShell shell(config_, "region" + index, "regiond " + index, stop_);
 
-  std::optional<CheckpointStore> store;
-  if (!config_.checkpoint_dir.empty()) {
-    store.emplace(config_.checkpoint_dir,
-                  "region" + std::to_string(config_.region));
-  }
-
-  RegionalDaemonResult result;
-  std::int64_t t = 0;  // next interval whose advance we have not relayed
-  if (store) {
-    if (auto snap = store->load_latest()) {
-      try {
-        const RegionSnapshot decoded = decode_region_snapshot(snap->payload);
+  const std::optional<std::int64_t> restored =
+      shell.restore([&](const CheckpointSnapshot& snap) {
+        const RegionSnapshot decoded = decode_region_snapshot(snap.payload);
         if (decoded.regions != config_.regions ||
             decoded.region != config_.region || decoded.monitors != shard) {
           throw ProtocolError("snapshot belongs to a different hierarchy");
         }
-        t = decoded.next_interval;
-        result.restored_from_checkpoint = true;
-        log_info("regiond ", config_.region, ": restored interval ", t,
-                 " from ", snap->path);
-      } catch (const Error& e) {
-        log_warn("regiond ", config_.region, ": ignoring snapshot ",
-                 snap->path, ": ", e.what());
-      }
-    }
-  }
+      });
+  std::int64_t t = restored.value_or(0);  // next interval to relay past
 
-  std::unique_ptr<Transport> wrapped;
-  if (config_.wrap_transport) wrapped = config_.wrap_transport(transport_);
-  Transport& bus = wrapped ? *wrapped : static_cast<Transport&>(transport_);
-
-  std::atomic<std::int64_t> current_interval{t};
-  DaemonTelemetry telemetry(
-      config_.status_port, config_.status_host, config_.on_status_port, stop_,
-      "region",
-      [this, &current_interval, &result, &shard] {
-        std::ostringstream oss;
-        oss << ",\"region\":" << config_.region
-            << ",\"monitors\":" << shard.size() << ",\"interval\":"
-            << current_interval.load(std::memory_order_relaxed)
-            << ",\"reconnects\":" << transport_.reconnects()
-            << ",\"restored_from_checkpoint\":"
-            << (result.restored_from_checkpoint ? "true" : "false");
-        return oss.str();
-      },
-      "regiond " + std::to_string(config_.region));
-
-  const auto intervals = static_cast<std::int64_t>(config_.scenario.intervals);
-  const std::int64_t end = config_.last_interval >= 0
-                               ? std::min(intervals, config_.last_interval)
-                               : intervals;
-  SPCA_EXPECTS(t <= intervals);
-  const auto checkpoint = [&](bool force) {
-    if (!store) return;
-    if (!force && (config_.checkpoint_every <= 0 ||
-                   t % config_.checkpoint_every != 0)) {
-      return;
-    }
-    store->write(static_cast<std::uint64_t>(t),
-                 encode_region_snapshot(config_.regions, config_.region,
-                                        shard, t));
+  Transport& bus = shell.attach(transport_);
+  shell.enter(t);
+  shell.serve("region", [this, &shell, &shard, &restored] {
+    std::ostringstream oss;
+    oss << ",\"region\":" << config_.region
+        << ",\"monitors\":" << shard.size()
+        << ",\"interval\":" << shell.interval()
+        << ",\"reconnects\":" << transport_.reconnects()
+        << ",\"restored_from_checkpoint\":"
+        << (restored ? "true" : "false");
+    return oss.str();
+  });
+  const auto snapshot = [&] {
+    return encode_region_snapshot(config_.regions, config_.region, shard, t);
   };
 
   // Event-driven loop: each pass relays whatever arrived (RegionalNoc::relay)
   // and relays the root's advances down to the shard; the deadline clock
-  // resets on any progress.
+  // restarts on any progress.
   RegionalNoc region(config_.region, shard, config_.scenario.sketch_rows, t);
-  auto waited = std::chrono::milliseconds(0);
-  while (t < end && !stop_.load(std::memory_order_relaxed)) {
-    current_interval.store(t, std::memory_order_relaxed);
-    telemetry.poll();
+  const std::int64_t end = shell.end();
+  const auto relay = [&] {
     bool progressed = region.relay(bus);
     while (auto control = transport_.poll_control()) {
       if (control->type != FrameType::kAdvance) continue;
@@ -181,34 +132,26 @@ RegionalDaemonResult RegionalDaemon::run() {
       progressed = true;
       if (advanced >= t) {
         t = advanced + 1;
-        current_interval.store(t, std::memory_order_relaxed);
-        FlightRecorder::global().capture_metrics(
-            "region" + std::to_string(config_.region) + "_interval",
-            advanced);
-        checkpoint(/*force=*/false);
+        shell.finish_interval(advanced, snapshot);
       }
     }
-    if (progressed) {
-      waited = std::chrono::milliseconds(0);
-      continue;
-    }
-    if (!transport_.wait_for_activity(kWaitSlice)) {
-      waited += kWaitSlice;
-      if (waited >= config_.interval_deadline) {
-        throw TransportError("regiond: no progress within the deadline");
-      }
-    }
+    return progressed;
+  };
+  const auto wait_slice = [&](std::chrono::milliseconds slice) {
+    return transport_.wait_for_activity(slice);
+  };
+  while (t < end && !shell.stopping() &&
+         shell.wait(relay, wait_slice, config_.interval_deadline, "progress",
+                    [] {})) {
+    shell.poll();
   }
 
-  if (config_.final_checkpoint) checkpoint(/*force=*/true);
-  result.next_interval = t;
-  result.merges = region.merges();
-  result.reconnects = transport_.reconnects();
-  result.stats = transport_.stats();
-  log_info("regiond ", config_.region, ": finished through interval ", t,
-           ", ", region.merges(), " merges, ", transport_.reconnects(),
+  if (config_.final_checkpoint) (void)shell.shutdown_snapshot(t, snapshot);
+  log_info("regiond ", index, ": finished through interval ", t, ", ",
+           region.merges(), " merges, ", transport_.reconnects(),
            " reconnects");
-  return result;
+  return {t, region.merges(), transport_.reconnects(), transport_.stats(),
+          restored.has_value()};
 }
 
 }  // namespace spca

@@ -1,35 +1,34 @@
-// Regional NOC daemon: wraps a RegionalNoc in a TCP event loop. Listens for
-// its shard of monitor daemons, dials the root NOC, and per interval
-// forwards ONE merged aggregate per phase upstream while relaying sketch
-// requests and kAdvance frames downstream — the middle tier of the
-// hierarchical deployment, invisible to the detection trajectory.
+// Regional NOC daemon: wraps a RegionalNoc in a TCP event loop inside the
+// shared daemon shell (net/daemon_shell.hpp). Listens for its shard of
+// monitor daemons, dials the root NOC, and per interval forwards ONE merged
+// aggregate per phase upstream while relaying sketch requests and kAdvance
+// frames downstream — the middle tier of the hierarchical deployment,
+// invisible to the detection trajectory.
 //
 // Restart story: the node holds no sketch or model state, so its durable
 // snapshot is only a small identity + progress blob (region, shard, next
-// interval). After a restart the shard's monitors re-send their current
-// interval on reconnect, the merge is reproduced bit-identically, and the
-// root deduplicates whatever a racing first copy also delivered. A request
-// lost with the old connection is re-issued by the root when the new
-// incarnation dials in.
+// interval). A restarted node ignores a snapshot of another hierarchy or
+// one past the scenario's end. After a restart the shard's monitors re-send
+// their current interval on reconnect, the merge is reproduced
+// bit-identically, and the root deduplicates whatever a racing first copy
+// also delivered. A request lost with the old connection is re-issued by
+// the root when the new incarnation dials in.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
+#include <vector>
 
-#include "net/scenario.hpp"
+#include "net/daemon_shell.hpp"
 #include "net/socket.hpp"
 #include "net/tcp_transport.hpp"
-#include "net/transport.hpp"
 
 namespace spca {
 
-/// Regional daemon configuration.
-struct RegionalDaemonConfig {
-  NetScenarioConfig scenario;
+/// Regional daemon configuration (the shared fields are in DaemonConfig).
+struct RegionalDaemonConfig : DaemonConfig {
   /// Total regions of the hierarchy and this daemon's region index.
   std::size_t regions = 2;
   std::size_t region = 0;
@@ -39,31 +38,15 @@ struct RegionalDaemonConfig {
   /// Root NOC endpoint to dial.
   std::string root_host = "127.0.0.1";
   std::uint16_t root_port = 0;
-  RetryPolicy retry;
-  std::chrono::milliseconds io_timeout{15000};
+  RetryPolicy retry{};
   /// How long to wait with no progress (missing monitor or silent root)
   /// before giving up on the run.
   std::chrono::milliseconds interval_deadline{60000};
-  /// Durable snapshot directory; empty disables checkpointing.
-  std::string checkpoint_dir;
-  /// Snapshot cadence in intervals (0 = shutdown snapshot only).
-  std::int64_t checkpoint_every = 0;
   /// Write a snapshot at shutdown. Chaos tests disable this to model a
   /// crash kill that only leaves periodic snapshots; the next incarnation
   /// then starts from a stale interval and catches up from its monitors'
   /// re-sends (the node has no sketch state to lose).
   bool final_checkpoint = true;
-  /// Stop after relaying the advance past intervals < last_interval
-  /// (-1 = run the whole scenario). The chaos harness uses this to kill a
-  /// regional incarnation cleanly mid-run.
-  std::int64_t last_interval = -1;
-  /// Fault-injection hook: wraps the transport for Message-level traffic.
-  std::function<std::unique_ptr<Transport>(Transport&)> wrap_transport;
-  /// Live status endpoint (obs/status_server.hpp); -1 disables, 0 binds an
-  /// ephemeral port (reported via on_status_port).
-  int status_port = -1;
-  std::string status_host = "127.0.0.1";
-  std::function<void(int)> on_status_port;
 };
 
 /// What a finished run did.
@@ -84,13 +67,15 @@ struct RegionalDaemonResult {
 class RegionalDaemon final {
  public:
   explicit RegionalDaemon(RegionalDaemonConfig config);
-  ~RegionalDaemon();
+  ~RegionalDaemon() { transport_.stop(); }
 
   /// Binds the listener and dials the root; must precede run().
   void start();
 
   /// The bound listen port (valid after start()).
-  [[nodiscard]] std::uint16_t bound_port() const noexcept;
+  [[nodiscard]] std::uint16_t bound_port() const noexcept {
+    return transport_.listen_port();
+  }
 
   /// Runs to completion (or until request_stop()); returns the summary.
   /// Throws TransportError when nothing makes progress past the deadline.

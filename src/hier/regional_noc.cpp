@@ -58,6 +58,7 @@ bool RegionalNoc::relay(Transport& bus) {
   }
   if (ready(responses_)) {
     bus.send(take_merged(responses_));
+    aggregates_counter().inc();
     progressed = true;
   }
   const auto forward_once = [&](std::map<NodeId, Message>& pending,
@@ -68,6 +69,7 @@ bool RegionalNoc::relay(Transport& bus) {
     if (*ready_at > forwarded_through) {
       forwarded_through = *ready_at;
       bus.send(merged);
+      aggregates_counter().inc();
     }
     progressed = true;
   };
@@ -112,7 +114,6 @@ Message RegionalNoc::take_merged(std::map<NodeId, Message>& pending) {
   pending.clear();
   ++merges_;
   merges_counter().inc();
-  aggregates_counter().inc();
   return merge_aggregate(std::move(parts), id(), kNocId);
 }
 

@@ -6,7 +6,6 @@
 
 #include "common/contracts.hpp"
 #include "common/error.hpp"
-#include "linalg/qr.hpp"
 
 namespace spca {
 
@@ -145,52 +144,6 @@ EigenSym eigen_symmetric_warm(const Matrix& a, const Matrix& warm_basis,
     out.warm_fallback = true;
     return out;
   }
-}
-
-EigenSym eigen_top_k(const Matrix& a, std::size_t k, double tol,
-                     int max_iters, std::uint64_t seed) {
-  SPCA_EXPECTS(a.rows() == a.cols());
-  SPCA_EXPECTS(k >= 1 && k <= a.rows());
-  SPCA_EXPECTS(tol > 0.0);
-  SPCA_EXPECTS(max_iters > 0);
-  const std::size_t m = a.rows();
-
-  // Deterministic pseudo-random start block, orthonormalized.
-  Matrix q(m, k);
-  std::uint64_t state = seed;
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < k; ++j) {
-      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-      q(i, j) = static_cast<double>(state >> 11) * 0x1.0p-53 - 0.5;
-    }
-  }
-  q = qr(q).q;
-
-  const double a_norm = frobenius_norm(a);
-  if (a_norm == 0.0) {
-    EigenSym out;
-    out.values = Vector(k);
-    out.vectors = q;
-    return out;
-  }
-
-  for (int iter = 0; iter < max_iters; ++iter) {
-    const Matrix aq = multiply(a, q);
-    // Residual of the current invariant-subspace candidate.
-    const Matrix h = multiply(transpose(q), aq);  // k x k Rayleigh quotient
-    const Matrix residual = aq - multiply(q, h);
-    q = qr(aq).q;
-    if (frobenius_norm(residual) <= tol * a_norm) break;
-  }
-
-  // Diagonalize the small Rayleigh quotient for the final pairs.
-  const Matrix aq = multiply(a, q);
-  const Matrix h = multiply(transpose(q), aq);
-  const EigenSym small = eigen_symmetric(h);
-  EigenSym out;
-  out.values = small.values;
-  out.vectors = multiply(q, small.vectors);
-  return out;
 }
 
 }  // namespace spca

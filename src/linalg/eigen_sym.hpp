@@ -8,8 +8,6 @@
 // smallest ones.
 #pragma once
 
-#include <cstdint>
-
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
 
@@ -51,21 +49,5 @@ struct EigenSym {
                                             const Matrix& warm_basis,
                                             int max_sweeps = 64,
                                             int warm_sweeps = 8);
-
-/// Top-k eigenpairs of a positive semi-definite matrix by orthogonal
-/// (simultaneous) iteration: the alternative when only the r leading
-/// principal components are needed. Converges linearly with ratio
-/// lambda_{k+1}/lambda_k; iteration stops when the invariant-subspace
-/// residual |A Q - Q (Q^T A Q)|_F falls below `tol` * |A|_F.
-/// Returns k values (descending) and an m x k orthonormal vector block.
-///
-/// Honest guidance (see micro_linalg): at this library's m <= ~150 the full
-/// Jacobi solver is FASTER than orthogonal iteration unless the spectrum
-/// decays very steeply — use this when m is large and k << m, or when only
-/// a subspace (not the full residual spectrum for the Q-statistic) is
-/// needed.
-[[nodiscard]] EigenSym eigen_top_k(const Matrix& a, std::size_t k,
-                                   double tol = 1e-10, int max_iters = 500,
-                                   std::uint64_t seed = 1);
 
 }  // namespace spca

@@ -3,123 +3,76 @@
 #include <chrono>
 #include <sstream>
 
-#include "common/checkpoint_store.hpp"
 #include "common/contracts.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "dist/local_monitor.hpp"
 #include "ingest/interval_source.hpp"
 #include "net/frame.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span_log.hpp"
-#include "obs/status_server.hpp"
 
 namespace spca {
 
-namespace {
-
-constexpr std::chrono::milliseconds kWaitSlice{100};
-
-}  // namespace
-
-MonitorDaemon::MonitorDaemon(MonitorDaemonConfig config)
-    : config_(std::move(config)) {}
-
 MonitorDaemonResult MonitorDaemon::run() {
   const auto recovery_begin = std::chrono::steady_clock::now();
-
+  const NodeId id = config_.monitor_id;
+  const std::string node = "monitor" + std::to_string(id);
+  DaemonShell shell(config_, node, "monitord " + std::to_string(id), stop_);
+  MonitorDaemonResult result;
   // Live status endpoint, up before the (possibly long) warm rebuild so an
-  // operator can watch recovery progress; polled from every wait slice of
-  // the protocol loop below.
-  std::atomic<std::int64_t> current_interval{-1};
-  std::atomic<bool> restored_flag{false};
-  DaemonTelemetry telemetry(
-      config_.status_port, config_.status_host, config_.on_status_port, stop_,
-      "monitor",
-      [this, &current_interval, &restored_flag] {
-        std::ostringstream oss;
-        oss << ",\"id\":" << static_cast<int>(config_.monitor_id)
-            << ",\"interval\":"
-            << current_interval.load(std::memory_order_relaxed)
-            << ",\"restored_from_checkpoint\":"
-            << (restored_flag.load(std::memory_order_relaxed) ? "true"
-                                                               : "false");
-        return oss.str();
-      },
-      "monitord " + std::to_string(config_.monitor_id));
+  // operator can watch recovery progress.
+  shell.serve("monitor", [&shell, &result, id] {
+    std::ostringstream oss;
+    oss << ",\"id\":" << static_cast<int>(id)
+        << ",\"interval\":" << shell.interval()
+        << ",\"restored_from_checkpoint\":"
+        << (result.restored_from_checkpoint ? "true" : "false");
+    return oss.str();
+  });
 
   const NetScenario scenario = build_scenario(config_.scenario);
   const std::size_t m = scenario.trace.num_flows();
-  SPCA_EXPECTS(config_.monitor_id >= 1 &&
-               config_.monitor_id <= config_.scenario.monitors);
-  SPCA_EXPECTS(config_.first_interval >= kAutoInterval);
-  SPCA_EXPECTS(config_.checkpoint_every >= 0);
-
+  SPCA_EXPECTS(id >= 1 && id <= config_.scenario.monitors);
+  const std::int64_t end = shell.end();
+  SPCA_EXPECTS(config_.first_interval >= kAutoInterval &&
+               config_.first_interval <= end);
   const std::vector<FlowId> flows =
-      scenario_flows_of(m, config_.scenario.monitors, config_.monitor_id);
+      scenario_flows_of(m, config_.scenario.monitors, id);
 
-  const auto end = config_.last_interval >= 0
-                       ? config_.last_interval
-                       : static_cast<std::int64_t>(config_.scenario.intervals);
-
-  const std::string node = "monitor" + std::to_string(config_.monitor_id);
-  std::optional<CheckpointStore> store;
-  if (!config_.checkpoint_dir.empty()) {
-    store.emplace(config_.checkpoint_dir, node);
-  }
-
-  // Pick the sketch state and the interval at which to join the protocol.
-  // Preference order: restore a snapshot (and absorb only the tail up to
-  // the join interval), else absorb the full prefix from scratch.
-  MonitorDaemonResult result;
+  // Pick the sketch state and the interval at which to join the protocol:
+  // a restored snapshot (absorbing only the tail up to the join interval),
+  // else the full prefix absorbed from scratch.
   std::optional<LocalMonitor> monitor;
-  std::int64_t join =
-      config_.first_interval == kAutoInterval ? 0 : config_.first_interval;
-  std::int64_t absorb_from = 0;
-  if (store) {
-    if (auto snap = store->load_latest()) {
-      const auto seq = static_cast<std::int64_t>(snap->seq);
-      if (config_.first_interval != kAutoInterval &&
-          seq > config_.first_interval) {
-        log_warn("monitord ", config_.monitor_id, ": snapshot ", snap->path,
-                 " is ahead of --first-interval ", config_.first_interval,
-                 "; rebuilding from scratch");
-      } else {
-        try {
-          LocalMonitor restored = LocalMonitor::restore_state(snap->payload);
-          if (restored.id() != config_.monitor_id ||
-              restored.flows() != flows) {
-            throw ProtocolError(
-                "snapshot belongs to a different monitor or deployment");
-          }
-          if (restored.first_line_enabled() !=
-              (config_.scenario.fusion != "off")) {
-            // A fusion-off snapshot has no scorer baselines; restoring it
-            // into a fusion deployment (or vice versa) would fork the score
-            // trajectory. Rebuild from scratch instead.
-            throw ProtocolError(
-                "snapshot fusion state differs from the configured scenario");
-          }
-          monitor.emplace(std::move(restored));
-          if (config_.first_interval == kAutoInterval) join = seq;
-          absorb_from = seq;
-          result.restored_from_checkpoint = true;
-          restored_flag.store(true, std::memory_order_relaxed);
-          log_info("monitord ", config_.monitor_id, ": restored interval ",
-                   seq, " from ", snap->path);
-        } catch (const Error& e) {
-          log_warn("monitord ", config_.monitor_id, ": ignoring snapshot ",
-                   snap->path, ": ", e.what());
+  const bool auto_join = config_.first_interval == kAutoInterval;
+  const std::optional<std::int64_t> restored =
+      shell.restore([&](const CheckpointSnapshot& snap) {
+        if (!auto_join &&
+            static_cast<std::int64_t>(snap.seq) > config_.first_interval) {
+          throw ProtocolError("snapshot is ahead of --first-interval " +
+                              std::to_string(config_.first_interval));
         }
-      }
-    }
-  }
-  SPCA_EXPECTS(join >= 0 && join <= end);
+        LocalMonitor decoded = LocalMonitor::restore_state(snap.payload);
+        if (decoded.id() != id || decoded.flows() != flows) {
+          throw ProtocolError(
+              "snapshot belongs to a different monitor or deployment");
+        }
+        if (decoded.first_line_enabled() !=
+            (config_.scenario.fusion != "off")) {
+          // A fusion-off snapshot has no scorer baselines; restoring it
+          // into a fusion deployment (or vice versa) would fork the score
+          // trajectory. Rebuild from scratch instead.
+          throw ProtocolError(
+              "snapshot fusion state differs from the configured scenario");
+        }
+        monitor.emplace(std::move(decoded));
+      });
+  result.restored_from_checkpoint = restored.has_value();
+  const std::int64_t absorb_from = restored.value_or(0);
+  const std::int64_t join = auto_join ? absorb_from : config_.first_interval;
   if (!monitor) {
-    monitor.emplace(make_monitor(config_.monitor_id, m,
-                                 config_.scenario.monitors,
-                                 scenario.detector));
+    monitor.emplace(
+        make_monitor(id, m, config_.scenario.monitors, scenario.detector));
     // Ensemble plane: under any fusion rule the monitor scores its owned
     // volumes each interval and ships a kScoreReport with the volume
     // report. The warm-rebuild replay below advances the scorer too (it
@@ -171,7 +124,7 @@ MonitorDaemonResult MonitorDaemon::run() {
   // (Not span-instrumented: a never-restarted run has no rebuild, and the
   // sim and TCP span trees must stay structurally identical.)
   for (std::int64_t t = absorb_from; t < join; ++t) {
-    telemetry.poll();
+    shell.poll();
     ingest(t);
     monitor->absorb_interval(t);
     ++result.intervals_absorbed;
@@ -186,19 +139,16 @@ MonitorDaemonResult MonitorDaemon::run() {
   }
 
   TcpTransportConfig tcp;
-  tcp.node_id = config_.monitor_id;
+  tcp.node_id = id;
   tcp.peers.push_back(
       {config_.upstream_id, config_.noc_host, config_.noc_port});
   tcp.retry = config_.retry;
   tcp.io_timeout = config_.io_timeout;
   TcpTransport transport(tcp);
   transport.start();
-  std::unique_ptr<Transport> wrapped;
-  if (config_.wrap_transport) wrapped = config_.wrap_transport(transport);
-  Transport& bus = wrapped ? *wrapped : static_cast<Transport&>(transport);
-  log_info("monitord ", config_.monitor_id, ": connected to ",
-           config_.noc_host, ":", config_.noc_port, ", intervals [", join,
-           ", ", end, ")");
+  Transport& bus = shell.attach(transport);
+  log_info("monitord ", id, ": connected to ", config_.noc_host, ":",
+           config_.noc_port, ", intervals [", join, ", ", end, ")");
 
   // The last snapshot-consistent state: `consistent_blob` is the sketch
   // state entering interval `consistent_seq`, captured only at lock-step
@@ -206,86 +156,70 @@ MonitorDaemonResult MonitorDaemon::run() {
   // mid-interval persists this, never a state the NOC has not accounted.
   std::vector<std::byte> consistent_blob;
   std::int64_t consistent_seq = join;
-  if (store) consistent_blob = monitor->save_state();
+  if (shell.checkpointing()) consistent_blob = monitor->save_state();
 
-  for (std::int64_t t = join; t < end; ++t) {
-    if (stop_.load(std::memory_order_relaxed)) break;
-    current_interval.store(t, std::memory_order_relaxed);
+  for (std::int64_t t = join; t < end && !shell.stopping(); ++t) {
+    shell.enter(t);
     {
       const ScopedSpan span(node, kStageIngestAbsorb, t);
       ingest(t);
     }
     monitor->end_interval(t, bus);
     ++result.intervals_reported;
-    std::uint64_t seen_reconnects = transport.reconnects();
 
     // Serve sketch pulls until the NOC finishes interval t. Requests for t
     // precede advance(t) on the connection (TCP preserves the NOC's send
     // order), so by the time we move on every pull has been answered.
     bool advanced = false;
-    auto waited = std::chrono::milliseconds(0);
-    while (!advanced && !stop_.load(std::memory_order_relaxed)) {
-      for (const Message& msg : bus.drain(config_.monitor_id)) {
-        monitor->handle_request(msg, bus);
-      }
-      while (auto control = transport.poll_control()) {
-        if (control->type != FrameType::kAdvance) continue;
-        if (decode_interval_payload(control->payload) >= t) advanced = true;
-      }
-      if (advanced) break;
-      if (!transport.wait_for_activity(kWaitSlice)) {
-        waited += kWaitSlice;
-        if (waited >= config_.io_timeout) {
-          throw TransportError("monitord: no advance from the NOC within "
-                               "the I/O timeout");
-        }
-        // A NOC that died after our report was sent never saw it; once the
-        // link is back (a restarted NOC daemon on the same endpoint), the
-        // report must go out again or neither side can make progress. The
-        // NOC deduplicates per-monitor reports, so the retry is safe even
-        // if the original copy also made it through.
-        try {
-          transport.ensure_connected(config_.upstream_id);
-          const std::uint64_t rc = transport.reconnects();
-          if (rc != seen_reconnects) {
-            seen_reconnects = rc;
-            monitor->resend_report(bus);
-            log_info("monitord ", config_.monitor_id,
-                     ": NOC link re-established, re-sent interval ", t);
+    const bool running = shell.wait(
+        [&] {
+          for (const Message& msg : bus.drain(id)) {
+            monitor->handle_request(msg, bus);
           }
-        } catch (const TransportError&) {
-          // NOC still restarting; the io_timeout above bounds the retries.
-        }
-      }
-      telemetry.poll();
-    }
-    if (!advanced) break;
+          while (auto control = transport.poll_control()) {
+            if (control->type == FrameType::kAdvance &&
+                decode_interval_payload(control->payload) >= t) {
+              advanced = true;
+            }
+          }
+          return advanced;
+        },
+        [&](std::chrono::milliseconds slice) {
+          if (transport.wait_for_activity(slice)) return true;
+          try {  // redial a NOC that died, once it listens again
+            transport.ensure_connected(config_.upstream_id);
+          } catch (const TransportError&) {
+            // NOC still restarting; the io_timeout bounds the retries.
+          }
+          return false;
+        },
+        config_.io_timeout, "the NOC's advance",
+        [&] {
+          // A restarted NOC never saw our report: send it again or neither
+          // side can make progress. The NOC deduplicates per-monitor
+          // reports, so the retry is safe if the first copy made it too.
+          monitor->resend_report(bus);
+          log_info("monitord ", id, ": NOC link re-established, re-sent "
+                   "interval ", t);
+        });
+    if (!running) break;
     if (config_.after_advance) config_.after_advance(t, transport);
-    FlightRecorder::global().capture_metrics(node + "_interval", t);
-    if (store) {
+    if (shell.checkpointing()) {
       consistent_blob = monitor->save_state();
       consistent_seq = t + 1;
-      if (config_.checkpoint_every > 0 &&
-          (t + 1) % config_.checkpoint_every == 0) {
-        store->write(static_cast<std::uint64_t>(consistent_seq),
-                     consistent_blob);
-      }
     }
+    shell.finish_interval(t, [&]() -> auto& { return consistent_blob; });
   }
-
-  if (store && config_.final_checkpoint) {
-    result.final_checkpoint_path = store->write(
-        static_cast<std::uint64_t>(consistent_seq), consistent_blob);
-    log_info("monitord ", config_.monitor_id, ": final checkpoint (interval ",
-             consistent_seq, ") at ", result.final_checkpoint_path);
+  if (config_.final_checkpoint) {
+    result.final_checkpoint_path = shell.shutdown_snapshot(
+        consistent_seq, [&]() -> auto& { return consistent_blob; });
   }
 
   result.reconnects = transport.reconnects();
   result.stats = transport.stats();
   transport.stop();
-  log_info("monitord ", config_.monitor_id, ": done after ",
-           result.intervals_reported, " intervals (", result.reconnects,
-           " reconnects)");
+  log_info("monitord ", id, ": done after ", result.intervals_reported,
+           " intervals (", result.reconnects, " reconnects)");
   return result;
 }
 

@@ -1,8 +1,10 @@
-// Monitor daemon: wraps a LocalMonitor in a TCP event loop. Dials the NOC
-// (with retry/backoff), replays its share of the scenario trace, answers
-// sketch pulls, and advances intervals in lock-step with the NOC's kAdvance
-// frames — which keeps the multi-process trajectory bit-identical to the
-// synchronous simulation.
+// Monitor daemon: wraps a LocalMonitor in a TCP event loop inside the
+// shared daemon shell (net/daemon_shell.hpp). Dials the NOC (with
+// retry/backoff), replays its share of the scenario trace, answers sketch
+// pulls from the shell's wait loop, and advances intervals in lock-step
+// with the NOC's kAdvance frames — which keeps the multi-process trajectory
+// bit-identical to the synchronous simulation. When its link comes back
+// after a NOC restart, it re-sends the current report.
 //
 // Restart story, in order of preference:
 //   * checkpoint_dir holds a snapshot and first_interval == kAutoInterval:
@@ -12,8 +14,10 @@
 //   * checkpoint_dir holds a snapshot and first_interval is explicit (a
 //     crash kill: the operator knows where the NOC is waiting): restore the
 //     snapshot, then absorb only the short tail [snapshot, first_interval)
-//     locally instead of replaying the whole history.
-//   * no usable snapshot: absorb [0, first_interval) — the PR-4 behaviour.
+//     locally instead of replaying the whole history. A snapshot ahead of
+//     first_interval is ignored.
+//   * no usable snapshot (none, another monitor's or deployment's, or one
+//     past the scenario's end): absorb [0, first_interval) from scratch.
 // In every case the NOC has already accounted the skipped intervals, so the
 // joint trajectory continues bit-identically.
 #pragma once
@@ -21,13 +25,12 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
+#include <utility>
 
-#include "net/scenario.hpp"
+#include "net/daemon_shell.hpp"
 #include "net/socket.hpp"
 #include "net/tcp_transport.hpp"
-#include "net/transport.hpp"
 
 namespace spca {
 
@@ -35,9 +38,8 @@ namespace spca {
 /// checkpoint_dir, or 0 when there is none.
 inline constexpr std::int64_t kAutoInterval = -1;
 
-/// Monitor daemon configuration.
-struct MonitorDaemonConfig {
-  NetScenarioConfig scenario;
+/// Monitor daemon configuration (the shared fields are in DaemonConfig).
+struct MonitorDaemonConfig : DaemonConfig {
   /// This monitor's NodeId (1..scenario.monitors).
   NodeId monitor_id = 1;
   /// Upstream endpoint to dial: the root NOC in the flat deployment, or
@@ -50,41 +52,20 @@ struct MonitorDaemonConfig {
   /// First interval to report (earlier intervals come from the snapshot
   /// and/or local absorption). kAutoInterval resumes from the checkpoint.
   std::int64_t first_interval = 0;
-  /// One-past-last interval to report; -1 = scenario end. An early stop
-  /// exits gracefully after the NOC advanced past the last interval, which
-  /// models a planned kill in the restart tests.
-  std::int64_t last_interval = -1;
-  RetryPolicy retry;
-  std::chrono::milliseconds io_timeout{15000};
+  RetryPolicy retry{};
   /// Stream the monitor's interval volumes from this flow-record file
   /// (binary or CSV, see ingest/record_file.hpp) instead of the scenario's
   /// synthetic trace. The file must carry the scenario's full flow count and
   /// interval count; a file exported from the scenario trace reproduces the
   /// synthetic trajectory bit-identically. Empty = use the scenario trace.
-  std::string ingest_records;
-  /// Durable snapshot directory; empty disables checkpointing.
-  std::string checkpoint_dir;
-  /// Snapshot cadence in intervals (0 = shutdown snapshot only).
-  std::int64_t checkpoint_every = 0;
+  std::string ingest_records{};
   /// Write a snapshot at shutdown (SIGTERM/EOF/last_interval). Chaos tests
   /// disable this to model a crash kill that only leaves periodic snapshots.
   bool final_checkpoint = true;
-  /// Fault-injection hook: wraps the TCP transport for all Message-level
-  /// traffic (reports, pulls, responses). Control frames and connection
-  /// management stay on the raw transport. Keeps net/ ignorant of fault/.
-  std::function<std::unique_ptr<Transport>(Transport&)> wrap_transport;
   /// Fault-injection hook: runs right after kAdvance(t) was received — a
   /// protocol-quiet point where a connection reset cannot lose in-flight
   /// frames (fault/chaos uses it to flap the NOC link deterministically).
-  std::function<void(std::int64_t, TcpTransport&)> after_advance;
-  /// Live status endpoint (obs/status_server.hpp): /metrics, /metrics.json,
-  /// /healthz, /spans. -1 disables; 0 binds an ephemeral port (reported via
-  /// on_status_port). Polled from the daemon's wait slices, so a slow
-  /// scraper can never stall the protocol.
-  int status_port = -1;
-  std::string status_host = "127.0.0.1";
-  /// Called with the bound status port right after the server comes up.
-  std::function<void(int)> on_status_port;
+  std::function<void(std::int64_t, TcpTransport&)> after_advance{};
 };
 
 /// What a finished run did.
@@ -109,15 +90,15 @@ struct MonitorDaemonResult {
 /// The monitor process body (also runnable on a thread in tests).
 class MonitorDaemon final {
  public:
-  explicit MonitorDaemon(MonitorDaemonConfig config);
+  explicit MonitorDaemon(MonitorDaemonConfig config)
+      : config_(std::move(config)) {}
 
   /// Runs to completion (or until request_stop()); returns the run summary.
   /// Throws TransportError if the NOC stays unreachable past the retry
   /// budget or an established connection times out.
   MonitorDaemonResult run();
 
-  /// Asks a running daemon to wind down at the next poll slice (signal-safe
-  /// apart from the atomic store; the SIGTERM handler calls this).
+  /// Asks a running daemon to wind down at the next poll slice.
   void request_stop() { stop_.store(true, std::memory_order_relaxed); }
 
  private:

@@ -1,26 +1,30 @@
 // NOC daemon: runs the NOC's interval step (dist/noc_step.hpp) over a TCP
-// server. Listens for the monitors (or regional NOCs), runs the step for
-// each interval with an await policy that waits on the sockets against the
-// interval deadline, and releases the children into the next interval with
-// a kAdvance frame — the flow control that keeps the multi-process run in
-// the simulation's lock-step, and therefore bit-identical to it.
+// server inside the shared daemon shell (net/daemon_shell.hpp). Listens for
+// the monitors (or regional NOCs), runs the step for each interval with the
+// shell's wait loop as its await policy (a child that redials mid-pull is
+// asked for its sketch again), and releases the children into the next
+// interval with a kAdvance frame — the flow control that keeps the
+// multi-process run in the simulation's lock-step, and therefore
+// bit-identical to it.
+//
+// Restart story: the NOC snapshots its model (Noc::save_state, 'SPCN') on
+// the checkpoint cadence and always at shutdown. A restarted NOC restores
+// the newest snapshot whose flow count and model backend match the
+// configuration and resumes at its interval; the monitors re-send the
+// report the dead incarnation never saw once their link is back.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 
-#include "net/scenario.hpp"
+#include "net/daemon_shell.hpp"
 #include "net/tcp_transport.hpp"
-#include "net/transport.hpp"
 
 namespace spca {
 
-/// NOC daemon configuration.
-struct NocDaemonConfig {
-  NetScenarioConfig scenario;
+/// NOC daemon configuration (the shared fields are in DaemonConfig).
+struct NocDaemonConfig : DaemonConfig {
   /// Hierarchical deployment: number of regional NOCs between the monitors
   /// and this root. 0 = flat (monitors dial the root directly). When > 0
   /// the root's children are the region nodes: phase traffic arrives as
@@ -35,43 +39,22 @@ struct NocDaemonConfig {
   /// before giving up on the run. Generous by default: a killed monitor
   /// needs time to restart, rebuild, and reconnect.
   std::chrono::milliseconds interval_deadline{60000};
-  std::chrono::milliseconds io_timeout{15000};
-  /// Durable snapshot directory; empty disables checkpointing. With a valid
-  /// snapshot present, run() restores the model and resumes at the
-  /// snapshot's interval instead of starting from 0.
-  std::string checkpoint_dir;
-  /// Snapshot cadence in intervals (0 = shutdown snapshot only).
-  std::int64_t checkpoint_every = 0;
-  /// Stop after completing intervals < last_interval (-1 = run the whole
-  /// scenario). The chaos harness uses this to kill a NOC incarnation
-  /// cleanly mid-run; the shutdown snapshot then seeds the next one.
-  std::int64_t last_interval = -1;
-  /// Fault-injection hook: wraps the TCP transport for all Message-level
-  /// traffic (reports, sketch pulls, alarms). Control frames stay on the
-  /// raw transport. Keeps net/ ignorant of fault/.
-  std::function<std::unique_ptr<Transport>(Transport&)> wrap_transport;
-  /// Live status endpoint (obs/status_server.hpp): /metrics, /metrics.json,
-  /// /healthz, /spans. -1 disables; 0 binds an ephemeral port (reported via
-  /// on_status_port). Polled from the daemon's wait slices, so a slow
-  /// scraper can never stall the protocol.
-  int status_port = -1;
-  std::string status_host = "127.0.0.1";
-  /// Called with the bound status port right after the server comes up.
-  std::function<void(int)> on_status_port;
 };
 
 /// The NOC process body (also runnable on a thread in tests).
 class NocDaemon final {
  public:
   explicit NocDaemon(NocDaemonConfig config);
-  ~NocDaemon();
+  ~NocDaemon() { transport_.stop(); }
 
   /// Binds the listener and starts accepting monitors; must be called
   /// before run() (split out so tests can learn the ephemeral port first).
   void start();
 
   /// The bound listen port (valid after start()).
-  [[nodiscard]] std::uint16_t bound_port() const noexcept;
+  [[nodiscard]] std::uint16_t bound_port() const noexcept {
+    return transport_.listen_port();
+  }
 
   /// Runs the deployment to completion (or until request_stop()) and
   /// returns the trajectory. When resuming from a checkpoint, the returned
@@ -84,7 +67,9 @@ class NocDaemon final {
   void request_stop() { stop_.store(true, std::memory_order_relaxed); }
 
   /// Connection re-establishments observed so far (valid after start()).
-  [[nodiscard]] std::uint64_t reconnects() const noexcept;
+  [[nodiscard]] std::uint64_t reconnects() const noexcept {
+    return transport_.reconnects();
+  }
 
   /// True iff the last run() actually resumed from a checkpoint snapshot
   /// (instead of starting the protocol from interval 0).

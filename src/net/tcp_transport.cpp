@@ -419,12 +419,23 @@ std::shared_ptr<TcpTransport::Conn> TcpTransport::connect_peer(
   auto conn = std::make_shared<Conn>();
   conn->peer = peer.id;
   conn->outbound = true;
-  conn->stream = connect_with_retry(
-      peer.host, peer.port, policy,
-      [](std::size_t, std::chrono::milliseconds) { retries.inc(); });
   const std::vector<std::byte> hello =
       encode_frame(FrameType::kHello, encode_node_id(config_.node_id));
-  conn->stream.send_all(hello.data(), hello.size(), config_.io_timeout);
+  // A dial can land in the accept backlog of a listener that is closing (a
+  // peer restarting on the same port): the connect succeeds and the hello
+  // is reset. That is one more failed attempt, not a dead peer.
+  for (std::size_t attempt = 1;; ++attempt) {
+    conn->stream = connect_with_retry(
+        peer.host, peer.port, policy,
+        [](std::size_t, std::chrono::milliseconds) { retries.inc(); });
+    try {
+      conn->stream.send_all(hello.data(), hello.size(), config_.io_timeout);
+      break;
+    } catch (const TransportError&) {
+      if (policy.max_attempts != 0 && attempt >= policy.max_attempts) throw;
+      retries.inc();
+    }
+  }
   if (is_reconnect) {
     static Counter& reconnects =
         MetricsRegistry::global().counter("spca.net.reconnects");

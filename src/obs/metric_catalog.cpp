@@ -52,9 +52,10 @@ const MetricInfo kCatalog[] = {
     {"spca.flight.dumps", MetricKind::kCounter,
      "Flight-recorder dump files written (signal, error, or explicit)."},
     {"spca.hier.aggregates_tx", MetricKind::kCounter,
-     "Merged shard aggregates a regional NOC relayed towards the root."},
+     "Merged shard aggregates a regional NOC sent to the root."},
     {"spca.hier.merges", MetricKind::kCounter,
-     "Complete shards a regional NOC merged into one aggregate."},
+     "Complete shards a regional NOC merged, including stale duplicate "
+     "merges it drops instead of sending."},
     {"spca.hier.requests_forwarded", MetricKind::kCounter,
      "Root sketch requests a regional NOC fanned out to its shard."},
     {"spca.ingest.batches", MetricKind::kCounter,

@@ -1,9 +1,12 @@
 // Loopback end-to-end of the 2-level hierarchy: a root NocDaemon, a tier of
 // RegionalDaemons, and the shard monitors as real TcpTransport endpoints on
 // 127.0.0.1 must reproduce the flat SimNetwork reference bit for bit,
-// survive a regional NOC kill + restart mid-run via the SPCR snapshot, and
-// serve the regional status endpoint live.
+// survive a regional NOC kill + restart mid-run via the SPCR snapshot,
+// ignore SPCR snapshots that are not theirs, and serve the regional status
+// endpoint live.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <chrono>
 #include <cstddef>
@@ -16,8 +19,10 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/checkpoint_store.hpp"
 #include "dist/aggregate.hpp"
 #include "hier/hier_scenario.hpp"
 #include "hier/regional_daemon.hpp"
@@ -350,6 +355,60 @@ TEST(HierDaemons, RegionalStatusEndpointServesLiveWithoutPerturbation) {
   EXPECT_NE(healthz.find("\"role\":\"region\""), std::string::npos);
   EXPECT_NE(healthz.find("\"region\":0"), std::string::npos);
   EXPECT_NE(metrics_json.find("HTTP/1.0 200 OK"), std::string::npos);
+}
+
+/// Runs the 2-level loopback deployment of `config` with regional NOC 0
+/// checkpointing into `dir`; returns the root's trajectory and region 0's
+/// result.
+std::pair<ScenarioRun, RegionalDaemonResult> run_with_region_dir(
+    const NetScenarioConfig& config, const std::string& dir) {
+  NocDaemonConfig noc_config;
+  noc_config.scenario = config;
+  noc_config.listen_port = 0;
+  noc_config.regions = kRegions;
+  noc_config.interval_deadline = 30000ms;
+  NocDaemon noc(noc_config);
+  noc.start();
+  Tier tier;
+  start_tier(tier, config, noc.bound_port(), [&](RegionalDaemonConfig& rc) {
+    if (rc.region != 0) return;
+    rc.checkpoint_dir = dir;
+    rc.checkpoint_every = 4;
+  });
+  const ScenarioRun run = noc.run();
+  tier.join_and_rethrow();
+  return {run, tier.region_results[0]};
+}
+
+TEST(HierDaemons, RegionIgnoresSnapshotsOfALongerRunOrAnotherHierarchy) {
+  const NetScenarioConfig config = small_scenario();
+  const ScenarioRun reference =
+      run_scenario_reference(build_scenario(config));
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("spca_hier_foreign_" + std::to_string(::getpid())))
+          .string();
+  const auto expect_fresh_start = [&] {
+    const auto [run, region] = run_with_region_dir(config, dir);
+    EXPECT_FALSE(region.restored_from_checkpoint);
+    EXPECT_EQ(region.next_interval,
+              static_cast<std::int64_t>(config.intervals));
+    expect_matches_reference(run, reference);
+    std::filesystem::remove_all(dir);
+  };
+
+  // A reused --checkpoint-dir: region 0's newest snapshot is a longer
+  // run's, at an interval past this run's end.
+  std::filesystem::remove_all(dir);
+  NetScenarioConfig longer = config;
+  longer.intervals += 8;
+  (void)run_with_region_dir(longer, dir);
+  expect_fresh_start();
+
+  // A mid-run snapshot of region 0 of a 3-region hierarchy.
+  (void)CheckpointStore(dir, "region0")
+      .write(20, encode_region_snapshot(3, 0, {1}, 20));
+  expect_fresh_start();
 }
 
 }  // namespace

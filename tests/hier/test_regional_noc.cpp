@@ -86,7 +86,11 @@ TEST(RegionalNoc, MixedIntervalsAreNotReadyAndLastWins) {
 TEST(RegionalNoc, ForwardsEachIntervalsReportsOnce) {
   // A node restarted at interval 6 drops a complete merge of interval 5
   // (its monitors re-sent it on reconnect, and the root already has it),
-  // forwards interval 6 once, and drops a later duplicate of it.
+  // forwards interval 6 once, and drops a later duplicate of it. Of the
+  // three merges, only the forwarded one counts as a transmitted aggregate.
+  Counter& aggregates_tx =
+      MetricsRegistry::global().counter("spca.hier.aggregates_tx");
+  const std::uint64_t tx_before = aggregates_tx.value();
   SimNetwork sim;
   RegionalNoc region(0, {1, 2}, kRows, /*next_interval=*/6);
   sim.send(report(1, 5));
@@ -104,6 +108,7 @@ TEST(RegionalNoc, ForwardsEachIntervalsReportsOnce) {
   EXPECT_TRUE(region.relay(sim));
   EXPECT_FALSE(sim.has_mail(kNocId));
   EXPECT_EQ(region.merges(), 3u);
+  EXPECT_EQ(aggregates_tx.value() - tx_before, 1u);
 }
 
 TEST(RegionalNoc, SketchPhaseRoundTrip) {

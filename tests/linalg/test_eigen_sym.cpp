@@ -229,48 +229,6 @@ TEST(EigenSymWarm, RejectsWrongShapeBasis) {
                ContractViolation);
 }
 
-class EigenTopKTest : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(EigenTopKTest, MatchesJacobiLeadingPairs) {
-  const std::size_t k = GetParam();
-  // PSD matrix with decaying spectrum (orthogonal iteration needs gaps).
-  Xoshiro256 gen(59);
-  Matrix b(40, 10);
-  for (std::size_t i = 0; i < 40; ++i) {
-    for (std::size_t j = 0; j < 10; ++j) {
-      b(i, j) = standard_normal(gen) * std::pow(0.6, static_cast<double>(j));
-    }
-  }
-  const Matrix a = gram(b);
-  const EigenSym full = eigen_symmetric(a);
-  const EigenSym top = eigen_top_k(a, k, 1e-12, 2000);
-  ASSERT_EQ(top.values.size(), k);
-  for (std::size_t j = 0; j < k; ++j) {
-    EXPECT_NEAR(top.values[j], full.values[j], 1e-6 * full.values[0])
-        << "pair " << j;
-    // Vectors match up to sign.
-    double dot_abs = 0.0;
-    for (std::size_t i = 0; i < 10; ++i) {
-      dot_abs += top.vectors(i, j) * full.vectors(i, j);
-    }
-    EXPECT_NEAR(std::abs(dot_abs), 1.0, 1e-5) << "pair " << j;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Ks, EigenTopKTest, ::testing::Values(1, 2, 4, 6));
-
-TEST(EigenTopK, ZeroMatrixHandled) {
-  const EigenSym top = eigen_top_k(Matrix(6, 6), 3);
-  for (std::size_t j = 0; j < 3; ++j) EXPECT_EQ(top.values[j], 0.0);
-}
-
-TEST(EigenTopK, Validation) {
-  const Matrix a = gram(random_symmetric(4, 60));
-  EXPECT_THROW((void)eigen_top_k(a, 0), ContractViolation);
-  EXPECT_THROW((void)eigen_top_k(a, 5), ContractViolation);
-  EXPECT_THROW((void)eigen_top_k(Matrix(2, 3), 1), ContractViolation);
-}
-
 TEST(EigenSym, SmallRelativeEigenvaluesAccurate) {
   // Jacobi's selling point: small eigenvalues to high relative accuracy.
   const Matrix a = Matrix::diagonal(Vector{1.0, 1e-8, 1e-12});

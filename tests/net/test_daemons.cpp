@@ -1,8 +1,11 @@
 // Loopback end-to-end of the daemon pair: a NocDaemon and its MonitorDaemons
 // running as real TcpTransport endpoints on 127.0.0.1 must reproduce the
 // SimNetwork reference trajectory bit for bit, survive a monitor kill and
-// restart mid-run, and tolerate monitors dialing before the NOC listens.
+// restart mid-run, tolerate monitors dialing before the NOC listens, and
+// ignore checkpoint snapshots that are not theirs.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <chrono>
 #include <cstddef>
@@ -14,7 +17,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/checkpoint_store.hpp"
 #include "common/error.hpp"
+#include "dist/local_monitor.hpp"
+#include "dist/noc.hpp"
 #include "ingest/record_file.hpp"
 #include "net/monitor_daemon.hpp"
 #include "net/noc_daemon.hpp"
@@ -436,6 +442,138 @@ TEST(Daemons, MonitorsStartedBeforeTheNocBackOffAndConnect) {
     if (error) std::rethrow_exception(error);
   }
   expect_matches_reference(run, reference);
+}
+
+/// A fresh checkpoint directory, removed again on destruction.
+class TempDir final {
+ public:
+  explicit TempDir(const std::string& tag)
+      : path_((std::filesystem::temp_directory_path() /
+               ("spca-daemons-" + tag + "-" + std::to_string(::getpid())))
+                  .string()) {
+    std::filesystem::remove_all(path_);
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  [[nodiscard]] const std::string& str() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+/// A loopback deployment whose NOC checkpoints into `noc_dir` and whose
+/// monitors checkpoint into `monitor_dir` and resume from it
+/// (kAutoInterval, as spca_monitord does by default); "" = no
+/// checkpointing for that role.
+struct CheckpointedRun {
+  ScenarioRun run;
+  bool noc_restored = false;
+  std::vector<MonitorDaemonResult> monitors;
+};
+
+CheckpointedRun run_checkpointed(const NetScenarioConfig& config,
+                                 const std::string& noc_dir,
+                                 const std::string& monitor_dir) {
+  NocDaemonConfig noc_config;
+  noc_config.scenario = config;
+  noc_config.interval_deadline = 30000ms;
+  noc_config.checkpoint_dir = noc_dir;
+  noc_config.checkpoint_every = 8;
+  NocDaemon noc(noc_config);
+  noc.start();
+
+  CheckpointedRun out;
+  out.monitors.resize(config.monitors);
+  std::vector<std::exception_ptr> errors(config.monitors);
+  std::vector<std::thread> threads;
+  for (std::size_t k = 0; k < config.monitors; ++k) {
+    MonitorDaemonConfig monitor =
+        monitor_config(config, static_cast<NodeId>(k + 1), noc.bound_port());
+    monitor.first_interval = kAutoInterval;
+    monitor.checkpoint_dir = monitor_dir;
+    monitor.checkpoint_every = 8;
+    threads.emplace_back(run_monitor, std::move(monitor),
+                         std::ref(out.monitors[k]), std::ref(errors[k]));
+  }
+  out.run = noc.run();
+  for (auto& t : threads) t.join();
+  for (auto& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+  out.noc_restored = noc.restored_from_checkpoint();
+  return out;
+}
+
+/// The same deployment run for 8 more intervals: its shutdown snapshots
+/// lie past the end of small_scenario().
+NetScenarioConfig longer_scenario() {
+  NetScenarioConfig config = small_scenario();
+  config.intervals += 8;
+  return config;
+}
+
+TEST(Daemons, NocIgnoresSnapshotsOfALongerRunOrAnotherDeployment) {
+  const NetScenarioConfig config = small_scenario();
+  const NetScenario scenario = build_scenario(config);
+  const ScenarioRun reference = run_scenario_reference(scenario);
+
+  // A reused --checkpoint-dir: the newest NOC snapshot is a longer run's,
+  // at an interval past this run's end.
+  {
+    const TempDir dir("noc-longer");
+    (void)run_checkpointed(longer_scenario(), dir.str(), "");
+    const CheckpointedRun second = run_checkpointed(config, dir.str(), "");
+    EXPECT_FALSE(second.noc_restored);
+    expect_matches_reference(second.run, reference);
+  }
+  // A mid-run snapshot of another deployment's NOC (abilene's 81 flows).
+  {
+    const TempDir dir("noc-other");
+    NetScenarioConfig other = config;
+    other.topology = "abilene";
+    const NetScenario world = build_scenario(other);
+    const Noc foreign(world.trace.num_flows(),
+                      noc_config_from(world.detector, false));
+    (void)CheckpointStore(dir.str(), "noc").write(20, foreign.save_state());
+    const CheckpointedRun run = run_checkpointed(config, dir.str(), "");
+    EXPECT_FALSE(run.noc_restored);
+    expect_matches_reference(run.run, reference);
+  }
+}
+
+TEST(Daemons, MonitorIgnoresSnapshotsOfALongerRunOrAnotherDeployment) {
+  const NetScenarioConfig config = small_scenario();
+  const NetScenario scenario = build_scenario(config);
+  const ScenarioRun reference = run_scenario_reference(scenario);
+  const auto expect_fresh_start = [&](const CheckpointedRun& run) {
+    for (const MonitorDaemonResult& monitor : run.monitors) {
+      EXPECT_FALSE(monitor.restored_from_checkpoint);
+      EXPECT_EQ(monitor.start_interval, 0);
+    }
+    expect_matches_reference(run.run, reference);
+  };
+
+  // A reused --checkpoint-dir: every monitor's newest snapshot is a longer
+  // run's shutdown snapshot, past this run's end.
+  {
+    const TempDir dir("monitor-longer");
+    (void)run_checkpointed(longer_scenario(), "", dir.str());
+    expect_fresh_start(run_checkpointed(config, "", dir.str()));
+  }
+  // Mid-run snapshots of the same ids in a 4-monitor deployment, which owns
+  // other flows.
+  {
+    const TempDir dir("monitor-other");
+    for (NodeId id = 1; id <= config.monitors; ++id) {
+      const LocalMonitor foreign = make_monitor(
+          id, scenario.trace.num_flows(), 4, scenario.detector);
+      (void)CheckpointStore(dir.str(), "monitor" + std::to_string(id))
+          .write(20, foreign.save_state());
+    }
+    expect_fresh_start(run_checkpointed(config, "", dir.str()));
+  }
 }
 
 }  // namespace
